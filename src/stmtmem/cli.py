@@ -3,8 +3,9 @@
 Subcommands: prepare | train | predict | evaluate | analyze | ablate |
 gradcheck. Every subcommand is deterministic given its config file and
 input files, never mutates its inputs, and writes canonical-JSON companions
-next to text reports. Exit codes: 0 success, 1 usage/config, 2 data,
-3 verification failure.
+next to text reports. Exit codes: 0 success, 1 usage/config, 2 data
+(also non-finite values, shape and vocabulary errors), 3 verification
+failure; every failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .corpus import (
     write_dataset,
 )
 from .decoding import LoadedModel, predict_corpus, read_predictions
-from .errors import ConfigError, DataError, UsageError, VerificationError
+from .errors import ConfigError, DataError, StmtMemError, UsageError, VerificationError
 from .metrics import difference_set, improved_set, score_corpus
 from .model import parameter_count
 from .params import load_checkpoint, save_checkpoint
@@ -586,7 +587,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except StmtMemError as exc:   # DataError, NumericInputError, DimensionError, VocabularyError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -594,3 +595,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:  # console_scripts target
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

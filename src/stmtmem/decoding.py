@@ -4,7 +4,9 @@ Ensembles average the member models' next-word probability vectors with
 equal weights at every step; members are trained independently and only
 combined at prediction time. Members must agree on the summary vocabulary
 and comlen; code-side shapes may differ, so each member decodes from its
-own encoding of the sample.
+own encoding of the sample. A member encodes a sample once
+(`LoadedModel.encode`); each decode step then runs only its decoder head
+(`LoadedModel.next_dist`).
 
 Prediction file (bit-exact contract): one line per sample, UTF-8:
     sample_id<TAB>predicted tokens space-separated
@@ -30,8 +32,12 @@ from .corpus import (
     encode_sample,
 )
 from .errors import DataError, DimensionError, UsageError
-from .model import MemoryTrace, forward
+from .model import EncoderState, MemoryTrace, batch_inputs, encode, head, prefix_row
+# Not called: benchmarks/tracing.py hooks this name to count the full
+# forwards decoding makes, which is none since it encodes once per sample.
+from .model import forward  # noqa: F401
 from .params import ParameterSet
+from .tensor import no_grad
 
 MAX_GENERATED = 12
 _BANNED_IDS = (PAD_ID, BOS_ID, UNK_ID)
@@ -42,26 +48,30 @@ class LoadedModel:
     params: ParameterSet
     config: ModelConfig
 
+    def encode(self, encoded: EncodedSample, collect_trace: bool = False) -> EncoderState:
+        """The sample's prefix-independent state; computed once per sample."""
+        with no_grad():
+            return encode(batch_inputs([encoded]), self.params, self.config,
+                          collect_trace=collect_trace)
+
+    def next_dist(self, state: EncoderState, prefix_ids,
+                  collect_trace: bool = False) -> tuple[np.ndarray, MemoryTrace | None]:
+        """Next-word distribution after `prefix_ids`, from an encoded sample."""
+        row = prefix_row(prefix_ids, self.config.comlen)
+        with no_grad():
+            dists, traces = head(state, row[None], self.params, self.config,
+                                 collect_trace=collect_trace)
+        return dists.data[0].copy(), traces[0] if traces else None
+
     def predict_dist(self, encoded: EncodedSample, prefix_ids,
                      collect_trace: bool = False) -> tuple[np.ndarray, MemoryTrace | None]:
-        if len(prefix_ids) > self.config.comlen:
-            raise UsageError(
-                f"summary prefix of length {len(prefix_ids)} exceeds comlen {self.config.comlen}"
-            )
-        row = np.zeros(self.config.comlen, dtype=np.int64)
-        row[: len(prefix_ids)] = prefix_ids
-        out = forward(
-            EncodedSample(encoded.sample_id, encoded.code_ids, encoded.statements, row),
-            self.params, self.config, collect_trace=collect_trace,
-        )
-        return out.next_word_dist, out.trace
+        return self.next_dist(self.encode(encoded, collect_trace), prefix_ids, collect_trace)
 
 
 @dataclass
 class PredictionRecord:
     sample_id: str
     tokens: list[str]
-    distributions: list[np.ndarray] | None = None
 
 
 def ensemble_distribution(dists) -> np.ndarray:
@@ -108,12 +118,12 @@ def _check_models(models, vocab: Vocabulary) -> ModelConfig:
 
 
 def greedy_decode(models, encoded, vocab: Vocabulary,
-                  keep_distributions: bool = False,
                   collect_trace: bool = False) -> tuple[PredictionRecord, MemoryTrace | None]:
     """Decode one sample: start from [<s>]; at each step average every
     model's next-word distribution, take the argmax (ties to the lowest id),
     stop on </s> or after 12 generated tokens. Reserved non-terminal ids are
-    never emitted.
+    never emitted. Each member encodes the sample once, before the first
+    step; a step runs only the members' decoder heads.
 
     `encoded` is one EncodedSample shared by all members, or one per member
     when their code-side shapes differ. Returns the record plus the first
@@ -126,22 +136,21 @@ def greedy_decode(models, encoded, vocab: Vocabulary,
         per_model = list(encoded)
         if len(per_model) != len(models):
             raise UsageError(f"got {len(per_model)} encodings for {len(models)} models")
+    states = [m.encode(enc, collect_trace=collect_trace and index == 0)
+              for index, (m, enc) in enumerate(zip(models, per_model))]
     limit = min(MAX_GENERATED, config.comlen - 1)
     prefix = [BOS_ID]
     tokens: list[str] = []
-    dists_kept: list[np.ndarray] | None = [] if keep_distributions else None
     trace = None
     for step in range(limit):
         member_dists = []
-        for index, (m, enc) in enumerate(zip(models, per_model)):
+        for index, (m, state) in enumerate(zip(models, states)):
             want_trace = collect_trace and step == 0 and index == 0
-            dist, t = m.predict_dist(enc, prefix, collect_trace=want_trace)
+            dist, t = m.next_dist(state, prefix, collect_trace=want_trace)
             if want_trace:
                 trace = t
             member_dists.append(dist)
         dist = ensemble_distribution(member_dists)
-        if dists_kept is not None:
-            dists_kept.append(dist)
         masked = dist.copy()
         masked[list(_BANNED_IDS)] = -1.0
         nxt = int(np.argmax(masked))
@@ -149,7 +158,7 @@ def greedy_decode(models, encoded, vocab: Vocabulary,
             break
         tokens.append(vocab.decode(nxt))
         prefix.append(nxt)
-    return PredictionRecord(per_model[0].sample_id, tokens, dists_kept), trace
+    return PredictionRecord(per_model[0].sample_id, tokens), trace
 
 
 def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
@@ -158,6 +167,12 @@ def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
     """Decode every sample in input order and write the prediction file;
     optionally dump the first decode step's memory trace per sample
     (one line per hop: sample_id, hop index, n gate values)."""
+    for m in models:
+        if m.config.code_vocab_size != len(code_vocab):
+            raise UsageError(
+                f"model code vocabulary size {m.config.code_vocab_size} does not match "
+                f"the vocabulary file ({len(code_vocab)} tokens)"
+            )
     records = []
     gate_lines: list[str] = []
     for sample in samples:

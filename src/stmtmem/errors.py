@@ -1,7 +1,9 @@
 """Exception taxonomy shared by every subsystem.
 
 The CLI maps these onto process exit codes: usage/config problems exit 1,
-bad or missing data artifacts exit 2, verification failures exit 3.
+verification failures exit 3, and every other error exits 2: bad or
+missing data artifacts, and the non-finite, shape and vocabulary errors a
+bad artifact (such as a checkpoint holding NaN) raises inside the model.
 """
 
 

@@ -260,41 +260,75 @@ def _memory_hops_batch(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
     return stack(memories, 1), gates                              # [B, h, d]
 
 
-def _forward_batch(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
-                   collect_trace: bool = False) -> tuple[Tensor, list[MemoryTrace] | None]:
-    """Batched forward pass; returns the [B, v] next-word distributions."""
-    b = inputs.code_ids.shape[0]
+@dataclass
+class EncoderState:
+    """The part of a forward pass that does not read the summary prefix,
+    computed once per batch of samples and shared by every decode step."""
+
+    h_enc: Tensor                       # [B, T, l] code-GRU states
+    f: Tensor | None = None             # [B, n, d] statement vectors (smn)
+    valid: np.ndarray | None = None     # [B, n] real-statement mask (smn)
+    mem: Tensor | None = None           # [B, h, d] memory stack (constant_q)
+    gates: np.ndarray | None = None     # [B, h, n] gate values (constant_q, when collected)
+
+
+def _memory(f: Tensor, q: Tensor, valid: np.ndarray, params: ParameterSet,
+            config: ModelConfig, collect_trace: bool) -> tuple[Tensor, np.ndarray | None]:
+    return _memory_hops_batch(f, q, valid, config.h, gru_weights(params, "episodic_gru"),
+                              config.gate_squash, collect_gates=collect_trace)
+
+
+def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
+           collect_trace: bool = False) -> EncoderState:
+    """Code-GRU states and statement vectors of a batch (its summary slots
+    are not read). Under the constant_q query the memory stack does not
+    depend on the prefix either, so it is computed here too."""
     l = config.l_dim
-
     emb_code = embedding_lookup(params["embed.code"], inputs.code_ids)
-    h_enc = _run_gru(emb_code, gru_weights(params, "enc_gru"), l)          # [B, T, l]
-    emb_sum = embedding_lookup(params["embed.summary"], inputs.summary_ids)
-    h_dec = _run_gru(emb_sum, gru_weights(params, "dec_gru"), l)           # [B, C, l]
-
-    traces = None
-    parts = []
-    attn_code = softmax(matmul(h_dec, transpose_last2(h_enc)), axis=-1)
-    parts.append(matmul(attn_code, h_enc))                                  # ctx over code
-
+    state = EncoderState(h_enc=_run_gru(emb_code, gru_weights(params, "enc_gru"), l))
     if config.encoder_kind == "smn":
         if config.statement_encoding == "positional":
             p_matrix = positional_matrix(config.e_dim, config.y)
-            f = _encode_statements_positional(inputs.stmt_ids, inputs.stmt_lengths,
-                                              params["embed.code"], p_matrix)
+            state.f = _encode_statements_positional(inputs.stmt_ids, inputs.stmt_lengths,
+                                                    params["embed.code"], p_matrix)
         else:
-            f = _encode_statements_eos(inputs.stmt_ids, inputs.stmt_lengths,
-                                       params["embed.code"], gru_weights(params, "eos_gru"), l)
+            state.f = _encode_statements_eos(inputs.stmt_ids, inputs.stmt_lengths,
+                                             params["embed.code"],
+                                             gru_weights(params, "eos_gru"), l)
+        state.valid = inputs.stmt_lengths > 0
+        if config.gate_query == "constant_q":
+            q = constant(np.full((inputs.code_ids.shape[0], l), config.q_fill))
+            state.mem, state.gates = _memory(state.f, q, state.valid, params, config,
+                                             collect_trace)
+    return state
+
+
+def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
+         config: ModelConfig,
+         collect_trace: bool = False) -> tuple[Tensor, list[MemoryTrace] | None]:
+    """Decoder GRU over the prefix-form summaries [B, comlen], attention over
+    the code states and the memory stack, and the output layer; returns the
+    [B, v] next-word distributions. Under the summary_vector query the
+    memory hops run here, gated against the decoder's final state."""
+    b = summary_ids.shape[0]
+    emb_sum = embedding_lookup(params["embed.summary"], summary_ids)
+    h_dec = _run_gru(emb_sum, gru_weights(params, "dec_gru"), config.l_dim)   # [B, C, l]
+
+    traces = None
+    parts = []
+    attn_code = softmax(matmul(h_dec, transpose_last2(state.h_enc)), axis=-1)
+    parts.append(matmul(attn_code, state.h_enc))                            # ctx over code
+
+    if config.encoder_kind == "smn":
+        mem, gate_values = state.mem, state.gates
         if config.gate_query == "summary_vector":
             q = slice_axis(h_dec, 1, config.comlen - 1)                     # decoder final state
-        else:
-            q = constant(np.full((b, l), config.q_fill))
-        valid = inputs.stmt_lengths > 0
-        mem, gate_values = _memory_hops_batch(f, q, valid, config.h,
-                                              gru_weights(params, "episodic_gru"),
-                                              config.gate_squash, collect_gates=collect_trace)
+            mem, gate_values = _memory(state.f, q, state.valid, params, config, collect_trace)
         attn_mem = softmax(matmul(h_dec, transpose_last2(mem)), axis=-1)
         parts.append(matmul(attn_mem, mem))                                 # ctx over memories
         if collect_trace:
+            if gate_values is None:
+                raise UsageError("the encoder state was built without collect_trace")
             traces = [MemoryTrace(memories=mem.data[i].copy(), gates=gate_values[i].copy())
                       for i in range(b)]
 
@@ -306,6 +340,13 @@ def _forward_batch(inputs: ModelInputs, params: ParameterSet, config: ModelConfi
     logits = add(matmul(flat, params["out.w"]),
                  broadcast_to(params["out.b"], (b, config.summary_vocab_size)))
     return softmax(logits, axis=-1), traces
+
+
+def _forward_batch(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
+                   collect_trace: bool = False) -> tuple[Tensor, list[MemoryTrace] | None]:
+    """Batched forward pass; returns the [B, v] next-word distributions."""
+    return head(encode(inputs, params, config, collect_trace), inputs.summary_ids,
+                params, config, collect_trace)
 
 
 def forward(encoded: EncodedSample, params: ParameterSet, config: ModelConfig,

@@ -149,6 +149,11 @@ def save_checkpoint(path: str, config: ModelConfig, params: ParameterSet) -> Non
 
 
 def load_checkpoint(path: str) -> tuple[ModelConfig, ParameterSet]:
+    """Read a checkpoint written by save_checkpoint. The manifest must name
+    exactly the parameters the stored config builds, with their shapes, laid
+    out back to back, and the data section must end with the last one."""
+    from .model import _param_specs   # model imports this module
+
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -162,14 +167,31 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParameterSet]:
             raise ValueError(f"bad magic line {lines[0]!r}")
         config = ModelConfig.from_dict(json.loads(lines[1]))
         count = int(lines[2])
+        if len(lines) != 3 + count:
+            raise ValueError(f"the manifest has {len(lines) - 3} lines, its count says {count}")
+        expected = {name: shape for name, shape, _ in _param_specs(config)}
         params = ParameterSet(config.rng_seed)
-        for line in lines[3:3 + count]:
+        end = 0
+        for line in lines[3:]:
             name, dims, offset = line.split("\t")
             shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+            if name not in expected:
+                raise DataError(f"checkpoint {path}: unexpected parameter {name!r}")
+            if shape != expected[name]:
+                raise DataError(f"checkpoint {path}: parameter {name!r} has shape {shape}, "
+                                f"the stored config needs {expected[name]}")
             n_items = int(np.prod(shape)) if shape else 1
-            start = int(offset)
-            arr = np.frombuffer(rest, dtype="<f8", count=n_items, offset=start)
+            if int(offset) != end or end + 8 * n_items > len(rest):
+                raise DataError(f"checkpoint {path}: data of parameter {name!r} is not at "
+                                f"bytes {end}..{end + 8 * n_items} of the data section")
+            arr = np.frombuffer(rest, dtype="<f8", count=n_items, offset=end)
             params.add(name, arr.reshape(shape).copy())
+            end += 8 * n_items
+        missing = sorted(set(expected) - set(params.names()))
+        if missing:
+            raise DataError(f"checkpoint {path}: missing parameter {missing[0]!r}")
+        if len(rest) != end:
+            raise DataError(f"checkpoint {path}: {len(rest) - end} bytes after the last parameter")
     except DataError:
         raise
     except Exception as exc:

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import stmtmem.model
@@ -13,6 +16,7 @@ from stmtmem.config import canonical_json
 from stmtmem.corpus import read_dataset
 from stmtmem.decoding import read_predictions, write_predictions, PredictionRecord
 from stmtmem.errors import ConfigError
+from stmtmem.params import load_checkpoint, save_checkpoint
 
 
 def base_config_dict(root):
@@ -195,6 +199,46 @@ class TestTrainPredictEvaluate:
         assert report["improved_set_a_over_b"]["pct"] == 0.0
         assert report["overall"]["ttest"]["t"] == 0.0
         assert report["overall"]["ttest"]["p"] == 1.0
+
+
+class TestErrorContract:
+    def test_nan_parameter_exits_2_with_one_line(self, pipeline, capsys):
+        root, path = pipeline
+        config, params = load_checkpoint(str(root / "model.ckpt"))
+        params["out.b"].data[0] = np.nan
+        bad = str(root / "nan.ckpt")
+        save_checkpoint(bad, config, params)
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", path, "--checkpoint", bad,
+                         "--out", str(root / "nan.preds")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_code_vocabulary_mismatch_is_usage_error(self, pipeline, capsys):
+        root, _ = pipeline
+        tokens = (root / "code.vocab").read_text(encoding="utf-8").splitlines()
+        (root / "short.code.vocab").write_text("\n".join(tokens[:-1]) + "\n", encoding="utf-8")
+        raw = base_config_dict(str(root))
+        raw["paths"]["code_vocab"] = str(root / "short.code.vocab")
+        cfg_path = str(root / "short.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        capsys.readouterr()
+        assert cli.main(["predict", "--config", cfg_path,
+                         "--out", str(root / "short.preds")]) == 1
+        assert "code vocabulary size" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        missing = str(tmp_path / "missing.json")
+        done = subprocess.run([sys.executable, "-m", "stmtmem.cli", "predict",
+                               "--config", missing],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [done.stderr.strip()]
+        assert missing in done.stderr and "Traceback" not in done.stderr
 
 
 class TestSeedOverride:

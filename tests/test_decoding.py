@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stmtmem.corpus import (
+    BOS_ID,
     EncodedSample,
     RESERVED_TOKENS,
     Sample,
@@ -24,7 +25,7 @@ from stmtmem.decoding import (
     write_predictions,
 )
 from stmtmem.errors import DimensionError, UsageError
-from stmtmem.model import init_params
+from stmtmem.model import forward, init_params, prefix_row
 from stmtmem.training import train
 from stmtmem.verify import toy_config
 
@@ -41,14 +42,20 @@ def dummy_encoded(comlen=13):
 
 
 class StubModel:
-    """Fixed per-step distributions; counts forward calls."""
+    """Fixed per-step distributions; counts encodes and per-step head calls."""
 
     def __init__(self, dists, v=8, comlen=13):
         self.dists = [np.asarray(d, dtype=np.float64) for d in dists]
         self.config = SimpleNamespace(summary_vocab_size=v, comlen=comlen)
+        self.encodes = 0
         self.calls = 0
 
-    def predict_dist(self, encoded, prefix, collect_trace=False):
+    def encode(self, encoded, collect_trace=False):
+        self.encodes += 1
+        return ("state", encoded.sample_id)
+
+    def next_dist(self, state, prefix, collect_trace=False):
+        assert state == ("state", "s1")
         self.calls += 1
         step = min(len(prefix) - 1, len(self.dists) - 1)
         return self.dists[step], None
@@ -66,6 +73,7 @@ class TestGreedyDecode:
         record, _ = greedy_decode([model], dummy_encoded(), vocab_of_size(8))
         assert record.tokens == []
         assert model.calls == 1
+        assert model.encodes == 1
 
     def test_never_eos_caps_at_twelve_tokens(self):
         model = StubModel([one_hot(8, 5)])
@@ -73,6 +81,7 @@ class TestGreedyDecode:
         assert len(record.tokens) == 12
         assert record.tokens == ["w1"] * 12
         assert model.calls == 12
+        assert model.encodes == 1
 
     def test_one_forward_call_per_model_per_token_plus_terminator(self):
         steps = [one_hot(8, 5), one_hot(8, 6), one_hot(8, 2)]
@@ -81,6 +90,7 @@ class TestGreedyDecode:
         assert record.tokens == ["w1", "w2"]
         assert a.calls == len(record.tokens) + 1
         assert b.calls == len(record.tokens) + 1
+        assert a.encodes == b.encodes == 1
 
     def test_uniform_plus_onehot_follows_the_onehot(self):
         v = 8
@@ -120,6 +130,7 @@ class TestGreedyDecode:
         model = StubModel([one_hot(8, 5)], comlen=5)
         record, _ = greedy_decode([model], dummy_encoded(comlen=5), vocab_of_size(8))
         assert len(record.tokens) == 4
+        assert model.encodes == 1
 
 
 class TestEnsembleDistribution:
@@ -219,3 +230,74 @@ class TestPredictCorpus:
         assert back == {"a": ["x", "y"], "b": []}
         raw = open(path, encoding="utf-8").read()
         assert raw == "a\tx y\nb\t\n"
+
+
+def mixed_members():
+    """A positional/constant_q, an eos/summary_vector and an attendgru_only
+    member over the same vocabularies, at seeded init."""
+    cfg, samples, cv, sv = tiny_real_setup()
+    cfg = replace(cfg, comlen=8)
+    configs = [cfg,
+               replace(cfg, statement_encoding="eos", gate_query="summary_vector", rng_seed=8),
+               replace(cfg, encoder_kind="attendgru_only", rng_seed=9)]
+    return [LoadedModel(init_params(c), c) for c in configs], samples, cv, sv
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("index", [0, 1, 2],
+                             ids=["positional-constant_q", "eos-summary_vector",
+                                  "attendgru_only"])
+    def test_next_dist_equals_forward_bitwise_at_every_step(self, index):
+        models, samples, cv, sv = mixed_members()
+        model = models[index]
+        cfg = model.config
+        for sample in samples:
+            enc = encode_sample(sample, cv, sv, cfg)
+            state = model.encode(enc, collect_trace=True)
+            prefix = [BOS_ID]
+            for _ in range(cfg.comlen - 1):
+                got, got_trace = model.next_dist(state, prefix, collect_trace=True)
+                row = prefix_row(prefix, cfg.comlen)
+                want = forward(replace(enc, summary_ids=row), model.params, cfg,
+                               collect_trace=True)
+                assert got.tobytes() == want.next_word_dist.tobytes()
+                if want.trace is None:
+                    assert got_trace is None
+                else:
+                    assert got_trace.gates.tobytes() == want.trace.gates.tobytes()
+                    assert got_trace.memories.tobytes() == want.trace.memories.tobytes()
+                prefix.append(4 + int(np.argmax(got[4:])))
+
+    def test_predict_dist_is_next_dist_of_a_fresh_encoding(self):
+        models, samples, cv, sv = mixed_members()
+        for model in models:
+            enc = encode_sample(samples[0], cv, sv, model.config)
+            got, _ = model.predict_dist(enc, [BOS_ID, 5])
+            want, _ = model.next_dist(model.encode(enc), [BOS_ID, 5])
+            assert got.tobytes() == want.tobytes()
+
+    def test_overlong_prefix_rejected(self):
+        models, samples, cv, sv = mixed_members()
+        model = models[0]
+        state = model.encode(encode_sample(samples[0], cv, sv, model.config))
+        with pytest.raises(UsageError, match="exceeds comlen"):
+            model.next_dist(state, [BOS_ID] * (model.config.comlen + 1))
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["constant_q-first", "summary_vector-first"])
+    def test_gate_dump_is_first_step_first_member_forward_trace(self, tmp_path, first):
+        models, samples, cv, sv = mixed_members()
+        members = [models[first], models[1 - first]]
+        gates_path = str(tmp_path / "p.preds.gates")
+        predict_corpus(members, samples, cv, sv, str(tmp_path / "p.preds"),
+                       dump_gates_path=gates_path)
+        lead = members[0]
+        expected = []
+        for sample in samples:
+            enc = encode_sample(sample, cv, sv, lead.config)
+            row = prefix_row([BOS_ID], lead.config.comlen)
+            trace = forward(replace(enc, summary_ids=row), lead.params, lead.config,
+                            collect_trace=True).trace
+            for hop, gates in enumerate(trace.gates):
+                values = " ".join(f"{v:.6f}" for v in gates)
+                expected.append(f"{sample.sample_id}\t{hop}\t{values}")
+        assert open(gates_path, encoding="utf-8").read().splitlines() == expected

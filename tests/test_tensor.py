@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stmtmem import tensor as T
-from stmtmem.errors import DimensionError, NumericInputError, UsageError, VocabularyError
+from stmtmem.errors import (
+    DataError,
+    DimensionError,
+    NumericInputError,
+    UsageError,
+    VocabularyError,
+)
 from stmtmem.params import (
     AdamState,
     ParameterSet,
@@ -340,3 +346,70 @@ class TestCheckpoint:
         save_checkpoint(p1, cfg, params)
         save_checkpoint(p2, cfg, params)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def saved_toy(self, tmp_path):
+        from stmtmem.model import init_params
+        cfg = verify.toy_config()
+        params = init_params(cfg)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, cfg, params)
+        return path, params
+
+    def rewrite_manifest(self, path, edit):
+        blob = open(path, "rb").read()
+        head, _, rest = blob.partition(b"\ndata\n")
+        lines = edit(head.decode("utf-8").split("\n"))
+        with open(path, "wb") as fh:
+            fh.write("\n".join(lines).encode("utf-8") + b"\ndata\n" + rest)
+
+    def test_missing_parameter_named(self, tmp_path):
+        path, _ = self.saved_toy(tmp_path)
+
+        def drop_proj_w(lines):
+            kept = [line for line in lines[3:] if not line.startswith("proj.w\t")]
+            return lines[:2] + [str(len(kept))] + kept
+
+        self.rewrite_manifest(path, drop_proj_w)
+        with pytest.raises(DataError, match="proj.w"):
+            load_checkpoint(path)
+
+    def test_unexpected_parameter_named(self, tmp_path):
+        path, _ = self.saved_toy(tmp_path)
+        self.rewrite_manifest(path, lambda lines: [line.replace("proj.w\t", "proj.v\t")
+                                                   for line in lines])
+        with pytest.raises(DataError, match="unexpected parameter 'proj.v'"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_named(self, tmp_path):
+        path, _ = self.saved_toy(tmp_path)
+
+        def reshape_out_b(lines):
+            # same byte count, different shape
+            return [line.replace("out.b\t5\t", "out.b\t5,1\t") for line in lines]
+
+        self.rewrite_manifest(path, reshape_out_b)
+        with pytest.raises(DataError, match="out.b"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, _ = self.saved_toy(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(DataError, match="8 bytes after the last parameter"):
+            load_checkpoint(path)
+
+    def test_truncated_data_names_the_parameter(self, tmp_path):
+        path, params = self.saved_toy(tmp_path)
+        blob = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:-8])
+        with pytest.raises(DataError, match=f"parameter '{params.names()[-1]}'"):
+            load_checkpoint(path)
+
+    def test_kept_benchmark_members_load(self):
+        import os
+        members = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "members")
+        for name in ("positional", "eos"):
+            config, params = load_checkpoint(os.path.join(members, f"{name}.ckpt"))
+            assert len(params) > 0 and config.encoder_kind == "smn"
+
