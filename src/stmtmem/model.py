@@ -30,13 +30,13 @@ from .params import ParameterSet, glorot_init, uniform_init
 from .tensor import (
     GRUWeights,
     Tensor,
-    abs_,
     add,
     add_const,
     broadcast_to,
     concat,
     constant,
     embedding_lookup,
+    episodic_gate,
     gru_cell,
     matmul,
     mul,
@@ -44,13 +44,10 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
-    sigmoid,
     slice_axis,
     softmax,
     stack,
-    sub,
     sum_axis,
-    tanh,
     transpose_last2,
     zeros,
 )
@@ -218,16 +215,6 @@ def _encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
     return reshape(state, (b, n, l_dim))
 
 
-def _gate_batch(f_t: Tensor, q: Tensor, m_prev: Tensor, gate_squash: str) -> Tensor:
-    """Scalar gate per row: features [F*Q, F*M, |F-Q|, |F-M|] concatenated,
-    tanh applied pointwise, then summed. Unbounded unless squashed."""
-    feats = concat([mul(f_t, q), mul(f_t, m_prev), abs_(sub(f_t, q)), abs_(sub(f_t, m_prev))], 1)
-    g = sum_axis(tanh(feats), 1, keepdims=True)                   # [B, 1]
-    if gate_squash == "sigmoid":
-        g = sigmoid(g)
-    return g
-
-
 def _memory_hops_batch(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
                        w: GRUWeights, gate_squash: str,
                        collect_gates: bool = False) -> tuple[Tensor, np.ndarray | None]:
@@ -248,7 +235,7 @@ def _memory_hops_batch(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
         m = zeros((b, d))
         for t in range(last_t):
             f_t = slice_axis(f, 1, t)
-            g = _gate_batch(f_t, q, m_prev, gate_squash)
+            g = episodic_gate(f_t, q, m_prev, squash=gate_squash == "sigmoid")   # [B, 1]
             gb = broadcast_to(g, (b, d))
             updated = add(mul(gb, gru_cell(f_t, m, w)), mul(add_const(neg(gb), 1.0), m))
             alive = broadcast_to(constant(valid[:, t:t + 1].astype(np.float64)), (b, d))
@@ -391,8 +378,8 @@ def gate(f_k: Tensor, q: Tensor, m_prev: Tensor, gate_squash: str = "none") -> T
             f"gate expects three equal-length vectors, got {f_k.shape}, {q.shape}, {m_prev.shape}"
         )
     d = f_k.shape[0]
-    g = _gate_batch(reshape(f_k, (1, d)), reshape(q, (1, d)), reshape(m_prev, (1, d)),
-                    gate_squash)
+    g = episodic_gate(reshape(f_k, (1, d)), reshape(q, (1, d)), reshape(m_prev, (1, d)),
+                      squash=gate_squash == "sigmoid")
     return reshape(g, ())
 
 

@@ -62,7 +62,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            data = self.data
+            # zeros_like keeps a view's memory order, which later sums see
+            self.grad = (np.zeros(data.shape) if data.flags.c_contiguous
+                         else np.zeros_like(data))
         self.grad += g
 
     def backward(self) -> None:
@@ -87,7 +90,9 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                # leaves have nothing to run; leaving them out of the walk
+                # does not change the order of the nodes that do
+                if parent._backward is not None and id(parent) not in seen:
                     stack.append((parent, False))
         for node in order:
             if node._backward is not None:
@@ -219,13 +224,14 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
+def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp(-|x|) never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid_values(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -240,6 +246,14 @@ def relu(a: Tensor) -> Tensor:
             a._accumulate(g * (a.data > 0))
 
     return _make(np.maximum(a.data, 0.0), (a,), backward)
+
+
+def _weight_grad(ad: np.ndarray, g: np.ndarray, weight_shape) -> np.ndarray:
+    """Gradient of a shared 2-d weight in `ad @ weight`, given the output's."""
+    if ad.ndim == 1:
+        return np.outer(ad, g)
+    k, c = weight_shape
+    return ad.reshape(-1, k).T @ g.reshape(-1, c)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -257,11 +271,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 a._accumulate(g @ bd.T)
             if b.requires_grad:
-                if ad.ndim == 1:
-                    b._accumulate(np.outer(ad, g))
-                else:
-                    k, c = bd.shape
-                    b._accumulate(ad.reshape(-1, k).T @ g.reshape(-1, c))
+                b._accumulate(_weight_grad(ad, g, bd.shape))
 
         return _make(out, (a, b), backward)
 
@@ -510,11 +520,14 @@ class GRUWeights(NamedTuple):
     bh: Tensor
 
 
-def _affine(x: Tensor, h: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
-    s = add(matmul(x, w), matmul(h, u))
-    if s.ndim == 1:
-        return add(s, b)
-    return add(s, broadcast_to(b, s.shape))
+def _check_gru_shapes(xd: np.ndarray, hd: np.ndarray, w: GRUWeights) -> None:
+    if xd.ndim not in (1, 2) or hd.ndim != xd.ndim or hd.shape[:-1] != xd.shape[:-1]:
+        raise DimensionError(f"gru_cell: input {xd.shape} and state {hd.shape} disagree")
+    e, l = xd.shape[-1], hd.shape[-1]
+    want = {"w": (e, l), "u": (l, l), "b": (l,)}
+    for name, part in zip(GRUWeights._fields, w):
+        if part.shape != want[name[0]]:
+            raise DimensionError(f"gru_cell: {name} has shape {part.shape}, want {want[name[0]]}")
 
 
 def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
@@ -525,8 +538,114 @@ def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
         h~ = tanh(Wh x + Uh (r*h) + bh)
 
     Accepts a single step ([E], [H]) or a batch ([B, E], [B, H]).
+
+    The step is one tape node instead of a graph of about two dozen
+    elementwise ops. Forward and backward do the float operations of that
+    graph, and each parent gets its gradient terms in the order the
+    graph's tape walk adds them, so the results are bitwise those of the
+    op-by-op cell. For that, a batch keeps the graph's broadcast node for
+    bh: the walk reaches it before h, so after a sequence GRU's backward
+    bh's terms arrive first step first, as they did in the graph.
     """
-    z = sigmoid(_affine(x, h, w.wz, w.uz, w.bz))
-    r = sigmoid(_affine(x, h, w.wr, w.ur, w.br))
-    hbar = tanh(_affine(x, mul(r, h), w.wh, w.uh, w.bh))
-    return add(mul(z, h), mul(add_const(neg(z), 1.0), hbar))
+    xd, hd = x.data, h.data
+    _check_gru_shapes(xd, hd, w)
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (part.data for part in w)
+    z = _sigmoid_values(xd @ wz + hd @ uz + bz)
+    r = _sigmoid_values(xd @ wr + hd @ ur + br)
+    rh = r * hd
+    hbar = np.tanh(xd @ wh + rh @ uh + bh)
+    oz = -z + 1.0
+    out = Tensor(z * hd + oz * hbar)
+    if not (_GRAD_ENABLED and (x.requires_grad or h.requires_grad
+                               or any(part.requires_grad for part in w))):
+        return out
+    batched = xd.ndim == 2
+    bh_in = broadcast_to(w.bh, hbar.shape) if batched else w.bh
+
+    def bias_grad(g):
+        # the graph summed a batch's bias rows in a broadcast node's
+        # gradient buffer, which zeros_like lays out column-major
+        return np.asfortranarray(g).sum(axis=(0,)) if batched else g
+
+    def backward(g):
+        gaz = (g * hd - g * hbar) * z * (1.0 - z)
+        gah = g * oz * (1.0 - hbar * hbar)
+        grh = gah @ uh.T
+        gar = grh * hd * r * (1.0 - r)
+        # z path, then h~ path, then r path: the graph's tape order.
+        if h.requires_grad:
+            h._accumulate(g * z)
+        if x.requires_grad:
+            x._accumulate(gaz @ wz.T)
+        if w.wz.requires_grad:
+            w.wz._accumulate(_weight_grad(xd, gaz, wz.shape))
+        if h.requires_grad:
+            h._accumulate(gaz @ uz.T)
+        if w.uz.requires_grad:
+            w.uz._accumulate(_weight_grad(hd, gaz, uz.shape))
+        if w.bz.requires_grad:
+            w.bz._accumulate(bias_grad(gaz))
+        if x.requires_grad:
+            x._accumulate(gah @ wh.T)
+        if w.wh.requires_grad:
+            w.wh._accumulate(_weight_grad(xd, gah, wh.shape))
+        if w.uh.requires_grad:
+            w.uh._accumulate(_weight_grad(rh, gah, uh.shape))
+        if h.requires_grad:
+            h._accumulate(grh * r)
+        if x.requires_grad:
+            x._accumulate(gar @ wr.T)
+        if w.wr.requires_grad:
+            w.wr._accumulate(_weight_grad(xd, gar, wr.shape))
+        if h.requires_grad:
+            h._accumulate(gar @ ur.T)
+        if w.ur.requires_grad:
+            w.ur._accumulate(_weight_grad(hd, gar, ur.shape))
+        if w.br.requires_grad:
+            w.br._accumulate(bias_grad(gar))
+        if bh_in.requires_grad:
+            bh_in._accumulate(gah)
+
+    out.requires_grad = True
+    out._parents = (x, w.wz, w.uz, w.bz, w.wr, w.ur, w.br, w.wh, w.uh, h, bh_in)
+    out._backward = backward
+    return out
+
+
+def episodic_gate(f: Tensor, q: Tensor, m: Tensor, squash: bool = False) -> Tensor:
+    """Scalar gate per row of three [B, d] inputs: tanh of the features
+    [f*q, f*m, |f-q|, |f-m|], summed over the 4d features, then a sigmoid
+    when `squash`. Returns [B, 1].
+
+    One tape node in place of the graph mul, mul, sub, abs, sub, abs,
+    concat, tanh, sum (and sigmoid); like gru_cell it does that graph's
+    float operations and adds gradient terms in its tape order, so the
+    results are bitwise the graph's.
+    """
+    fd, qd, md = f.data, q.data, m.data
+    if fd.ndim != 2 or qd.shape != fd.shape or md.shape != fd.shape:
+        raise DimensionError(f"episodic_gate: shapes {fd.shape}, {qd.shape}, {md.shape} "
+                             "must be one [B, d]")
+    d = fd.shape[1]
+    diff_q, diff_m = fd - qd, fd - md
+    t = np.tanh(np.concatenate([fd * qd, fd * md, np.abs(diff_q), np.abs(diff_m)], axis=1))
+    s = t.sum(axis=1, keepdims=True)
+    y = _sigmoid_values(s) if squash else s
+
+    def backward(g):
+        if squash:
+            g = g * y * (1.0 - y)
+        gt = np.broadcast_to(g, t.shape) * (1.0 - t * t)
+        g_fq, g_fm = gt[:, :d], gt[:, d:2 * d]
+        g_dq = gt[:, 2 * d:3 * d] * np.sign(diff_q)
+        g_dm = gt[:, 3 * d:] * np.sign(diff_m)
+        # mul(f, q), mul(f, m), sub(f, q), sub(f, m): the graph's tape order
+        for a, ga, b, gb in ((f, g_fq * qd, q, g_fq * fd), (f, g_fm * md, m, g_fm * fd),
+                             (f, g_dq, q, -g_dq), (f, g_dm, m, -g_dm)):
+            if a.requires_grad:
+                a._accumulate(ga)
+            if b.requires_grad:
+                b._accumulate(gb)
+
+    # reversed, the walk meets m, then f, then q, as in the graph
+    return _make(y, (q, f, m), backward)

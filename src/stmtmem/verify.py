@@ -121,6 +121,8 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
     )
     gx = _leaf(rng, (3,))
     gh = _leaf(rng, (4,))
+    gx2 = _leaf(rng, (2, 3))
+    gh2 = _leaf(rng, (2, 4))
     p = _projector(rng)
 
     cases = [
@@ -151,6 +153,10 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
         ("cross_entropy",
          lambda: T.mean_all(T.cross_entropy(T.softmax(logits, axis=-1), targets)), [logits]),
         ("gru_cell", lambda: p(T.gru_cell(gx, gh, gw)), [gx, gh, *gw]),
+        ("gru_cell_batch", lambda: p(T.gru_cell(gx2, gh2, gw)), [gx2, gh2, *gw]),
+        ("episodic_gate", lambda: p(T.episodic_gate(a34, b34, m34)), [a34, b34, m34]),
+        ("episodic_gate_squashed",
+         lambda: p(T.episodic_gate(a34, b34, m34, squash=True)), [a34, b34, m34]),
     ]
     return cases
 

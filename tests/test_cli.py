@@ -272,11 +272,12 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--config", path]) == 1
 
     def test_corrupted_gradient_fails_with_exit_3(self, tmp_path, monkeypatch, capsys):
-        # Negative control: a tanh whose backward is wrong must be caught.
-        real_tanh = T.tanh
+        # Negative control: a memory gate (tanh features) whose backward is
+        # wrong must be caught.
+        real_gate = T.episodic_gate
 
-        def bad_tanh(x):
-            out = real_tanh(x)
+        def bad_gate(*args, **kwargs):
+            out = real_gate(*args, **kwargs)
             original = out._backward
             if original is not None:
                 def corrupted(g):
@@ -284,7 +285,7 @@ class TestGradcheck:
                 out._backward = corrupted
             return out
 
-        monkeypatch.setattr(stmtmem.model, "tanh", bad_tanh)
+        monkeypatch.setattr(stmtmem.model, "episodic_gate", bad_gate)
         path = self.gradcheck_config(tmp_path)
         assert cli.main(["gradcheck", "--config", path]) == 3
         assert "FAIL" in capsys.readouterr().out

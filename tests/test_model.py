@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stmtmem.model
 from stmtmem import tensor as T
 from stmtmem.corpus import EncodedSample, StatementMatrix
 from stmtmem.errors import UsageError
@@ -402,3 +403,84 @@ class TestSubmodelConsistency:
             mine, _ = _forward_batch(inputs, params, cfg)
         theirs = reference_attendgru(inputs, params, cfg)
         assert mine.data.tobytes() == theirs.tobytes()
+
+
+def op_graph_gru_cell(x, h, w):
+    """The GRU step as a graph of elementwise tape ops, one node per op."""
+    def affine(x, h, wm, um, b):
+        s = T.add(T.matmul(x, wm), T.matmul(h, um))
+        return T.add(s, b) if s.ndim == 1 else T.add(s, T.broadcast_to(b, s.shape))
+
+    z = T.sigmoid(affine(x, h, w.wz, w.uz, w.bz))
+    r = T.sigmoid(affine(x, h, w.wr, w.ur, w.br))
+    hbar = T.tanh(affine(x, T.mul(r, h), w.wh, w.uh, w.bh))
+    return T.add(T.mul(z, h), T.mul(T.add_const(T.neg(z), 1.0), hbar))
+
+
+def op_graph_episodic_gate(f, q, m, squash=False):
+    """The episodic gate as a graph of elementwise tape ops."""
+    feats = T.concat([T.mul(f, q), T.mul(f, m), T.abs_(T.sub(f, q)), T.abs_(T.sub(f, m))], 1)
+    g = T.sum_axis(T.tanh(feats), 1, keepdims=True)
+    return T.sigmoid(g) if squash else g
+
+
+class TestFusedKernels:
+    """gru_cell and episodic_gate are one tape node each; their values and
+    gradients must be bitwise those of the op graphs they replace, wherever
+    the model uses them (sequence GRUs, memory hops, EOS statements)."""
+
+    def test_single_step_matches_op_graph_bitwise(self):
+        rng = np.random.default_rng(8)
+        arrays = [rng.uniform(-1, 1, s) for s in [(3, 4), (4, 4), (4,)] * 3 + [3, 4]]
+        results = []
+        for cell in (T.gru_cell, op_graph_gru_cell):
+            *w, x, h = (T.Tensor(a, requires_grad=True) for a in arrays)
+            w = T.GRUWeights(*w)
+            out = cell(x, h, w)
+            T.sum_all(T.mul(cell(x, out, w), out)).backward()
+            results.append([out.data, x.grad, h.grad] + [p.grad for p in w])
+        for mine, graph in zip(*results):
+            assert mine.tobytes() == graph.tobytes()
+
+    @pytest.mark.parametrize("squash", [False, True])
+    def test_gate_matches_op_graph_bitwise(self, squash):
+        rng = np.random.default_rng(9)
+        arrays = [rng.uniform(-1, 1, (16, 5)) for _ in range(3)]
+        arrays[1][0] = arrays[0][0]                 # |f - q| = 0: sign 0 branch
+        weights = T.constant(rng.uniform(0.5, 1.5, (16, 1)))
+        results = []
+        for gate_op in (T.episodic_gate, op_graph_episodic_gate):
+            f, q, m = (T.Tensor(a, requires_grad=True) for a in arrays)
+            g1 = gate_op(f, q, m, squash)
+            g2 = gate_op(f, m, m, squash)           # one tensor as query and memory
+            T.sum_all(T.mul(T.add(g1, g2), weights)).backward()
+            results.append([g1.data, g2.data, f.grad, q.grad, m.grad])
+        for mine, graph in zip(*results):
+            assert mine.tobytes() == graph.tobytes()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(statement_encoding="eos", gate_query="summary_vector", gate_squash="sigmoid"),
+        dict(encoder_kind="attendgru_only"),
+    ])
+    def test_training_step_matches_op_graph_bitwise(self, overrides, monkeypatch):
+        # 16 rows, so the bias sums are long enough for numpy's pairwise
+        # summation to depend on the gradient buffer's memory order
+        cfg = toy_config(tdatlen=12, n=4, y=4, batch=16, **overrides)
+        rng = np.random.default_rng(21)
+        inputs = batch_inputs([toy_sample(cfg, rng) for _ in range(16)])
+        targets = rng.integers(4, cfg.summary_vocab_size, size=16)
+
+        def step():
+            params = init_params(cfg)
+            dists, _ = _forward_batch(inputs, params, cfg)
+            T.mean_all(T.cross_entropy(dists, targets)).backward()
+            return [dists.data] + [p.grad for _, p in params.items()]
+
+        fused = step()
+        monkeypatch.setattr(stmtmem.model, "gru_cell", op_graph_gru_cell)
+        monkeypatch.setattr(stmtmem.model, "episodic_gate", op_graph_episodic_gate)
+        graph = step()
+        assert len(fused) == len(graph)
+        for mine, theirs in zip(fused, graph):
+            assert mine.tobytes() == theirs.tobytes()
