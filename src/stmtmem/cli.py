@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import ModelConfig, canonical_json
+from .config import ModelConfig, canonical_json, parse_section
 from .corpus import (
     Sample,
     Vocabulary,
@@ -30,12 +30,12 @@ from .corpus import (
 )
 from .decoding import LoadedModel, predict_corpus, read_predictions
 from .errors import ConfigError, DataError, StmtMemError, UsageError, VerificationError
-from .metrics import difference_set, improved_set, score_corpus
+from .metrics import ScoredCorpus, check_aligned, difference_set, improved_set, score_corpus
 from .model import parameter_count
 from .params import load_checkpoint, save_checkpoint
 from .stats import paired_t_test
 from .synthetic import SyntheticSpec, generate_synthetic_corpus
-from .training import format_training_log, train
+from .training import format_training_log, select_best, train
 from . import verify
 
 GRADCHECK_PARAM_LIMIT = 100_000
@@ -65,13 +65,15 @@ class RunPaths:
     report: str = ""
     log: str = ""
 
+    def validate(self) -> "RunPaths":
+        bad = [f.name for f in fields(self) if not isinstance(getattr(self, f.name), str)]
+        if bad:
+            raise ConfigError(f"paths must be strings: {', '.join(bad)}")
+        return self
+
     @classmethod
     def from_dict(cls, raw: dict) -> "RunPaths":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown path keys: {', '.join(unknown)}")
-        return cls(**raw)
+        return parse_section(raw, "path", cls)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -82,6 +84,11 @@ class SplitSpec:
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     min_statements: int = 1
     exclude_ids: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # JSON gives lists
+        self.ratios = tuple(self.ratios)
+        self.exclude_ids = tuple(self.exclude_ids)
 
     def validate(self) -> "SplitSpec":
         if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
@@ -94,16 +101,7 @@ class SplitSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SplitSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown split keys: {', '.join(unknown)}")
-        kwargs = dict(raw)
-        if "ratios" in kwargs:
-            kwargs["ratios"] = tuple(kwargs["ratios"])
-        if "exclude_ids" in kwargs:
-            kwargs["exclude_ids"] = tuple(kwargs["exclude_ids"])
-        return cls(**kwargs).validate()
+        return parse_section(raw, "split", cls)
 
     def to_dict(self) -> dict:
         return {"ratios": list(self.ratios), "min_statements": self.min_statements,
@@ -121,19 +119,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {"model", "paths", "split", "synthetic", "seed", "max_epochs"}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        synthetic = raw.get("synthetic")
-        return cls(
-            model=ModelConfig.from_dict(raw.get("model", {})),
-            paths=RunPaths.from_dict(raw.get("paths", {})),
-            split=SplitSpec.from_dict(raw.get("split", {})),
-            synthetic=SyntheticSpec.from_dict(synthetic) if synthetic is not None else None,
-            seed=int(raw.get("seed", 13)),
-            max_epochs=int(raw.get("max_epochs", 30)),
-        )
+        def build(model={}, paths={}, split={}, synthetic=None, seed=13, max_epochs=30):
+            return cls(
+                model=ModelConfig.from_dict(model),
+                paths=RunPaths.from_dict(paths),
+                split=SplitSpec.from_dict(split),
+                synthetic=SyntheticSpec.from_dict(synthetic) if synthetic is not None else None,
+                seed=int(seed),
+                max_epochs=int(max_epochs),
+            )
+
+        return parse_section(raw, "config", cls, build)
 
     def to_dict(self) -> dict:
         return {
@@ -155,10 +151,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(self.to_dict()))
 
 
 def _require_paths(cfg: RunConfig, command: str, *names: str) -> None:
@@ -212,6 +204,13 @@ def _references(cfg: RunConfig) -> tuple[list[Sample], dict[str, list[str]]]:
     return samples, {s.sample_id: s.summary_tokens for s in samples}
 
 
+def _score(refs: dict[str, list[str]], preds: dict[str, list[str]], name: str) -> ScoredCorpus:
+    """Score the predictions of file `name` against the references, which
+    must hold the same sample ids."""
+    check_aligned(name, preds, "references", refs)
+    return score_corpus((sid, refs[sid], preds[sid]) for sid in sorted(refs))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -260,7 +259,7 @@ def cmd_train(cfg: RunConfig) -> None:
     save_checkpoint(cfg.paths.checkpoint, model_cfg, best)
     log_path = cfg.paths.log or cfg.paths.checkpoint + ".log"
     _write_text(log_path, format_training_log(reports))
-    best_epoch = max(reports, key=lambda r: (r.val_accuracy, -r.val_loss, -r.epoch))
+    best_epoch = reports[select_best(reports)]
     print(f"trained {len(reports)} epochs; kept epoch {best_epoch.epoch} "
           f"(val acc {best_epoch.val_accuracy:.4f}, val loss {best_epoch.val_loss:.4f}) "
           f"-> {cfg.paths.checkpoint}")
@@ -296,12 +295,8 @@ def cmd_evaluate(cfg: RunConfig, out: str | None) -> None:
     if not report_path:
         raise ConfigError("evaluate needs --out or a report path in the config")
     _, refs = _references(cfg)
-    preds = read_predictions(cfg.paths.predictions)
-    missing = sorted(set(refs) - set(preds)) + sorted(set(preds) - set(refs))
-    if missing:
-        raise DataError(f"predictions and references disagree on ids: {', '.join(missing[:10])}")
-    scored = score_corpus((sid, refs[sid], preds[sid]) for sid in sorted(refs))
     name = cfg.paths.predictions.rsplit("/", 1)[-1]
+    scored = _score(refs, read_predictions(cfg.paths.predictions), name)
     text = _metric_table([(name, scored.mean_meteor, scored.corpus_bleu, None, None)]) + "\n"
     _write_text(report_path, text)
     _write_text(report_path + ".json", canonical_json({
@@ -326,8 +321,8 @@ def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str |
     name_a = preds_a_path.rsplit("/", 1)[-1]
     name_b = preds_b_path.rsplit("/", 1)[-1]
 
-    scored_a = score_corpus((sid, refs[sid], preds_a[sid]) for sid in sorted(refs))
-    scored_b = score_corpus((sid, refs[sid], preds_b[sid]) for sid in sorted(refs))
+    scored_a = _score(refs, preds_a, name_a)
+    scored_b = _score(refs, preds_b, name_b)
     met_a, met_b = scored_a.meteor_by_id(), scored_b.meteor_by_id()
     overall_t = paired_t_test([met_a[sid] for sid in sorted(refs)],
                               [met_b[sid] for sid in sorted(refs)])
@@ -432,10 +427,9 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
     configs: list[tuple[str, ModelConfig]] = []
     for entry in sweep:
         overrides = {k: v for k, v in entry.items() if k != "name"}
-        unknown = sorted(set(overrides) - {f.name for f in fields(ModelConfig)})
-        if unknown:
-            raise ConfigError(f"sweep entry {entry['name']!r} has unknown keys: {', '.join(unknown)}")
-        configs.append((entry["name"], replace(base_cfg, **overrides).validate()))
+        configs.append((entry["name"], parse_section(
+            overrides, f"sweep entry {entry['name']!r}", ModelConfig,
+            lambda **kw: replace(base_cfg, **kw).validate())))
     if not any(mc == base_cfg for _, mc in configs):
         configs.insert(0, ("baseline", base_cfg))
     baseline_index = next(i for i, (_, mc) in enumerate(configs) if mc == base_cfg)
@@ -447,8 +441,7 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
         save_checkpoint(ckpt_path, model_cfg, best)
         pred_path = f"{ckpt_path}.preds"
         predict_corpus([LoadedModel(best, model_cfg)], samples, code_vocab, sum_vocab, pred_path)
-        preds = read_predictions(pred_path)
-        scored = score_corpus((sid, refs[sid], preds[sid]) for sid in sorted(refs))
+        scored = _score(refs, read_predictions(pred_path), pred_path)
         results.append({
             "name": name,
             "config": model_cfg,

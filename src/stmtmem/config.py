@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import Callable, TypeVar
 
 from .errors import ConfigError
 
@@ -15,6 +16,8 @@ ENCODER_KINDS = ("smn", "attendgru_only")
 STATEMENT_ENCODINGS = ("positional", "eos")
 GATE_QUERIES = ("constant_q", "summary_vector")
 GATE_SQUASHES = ("none", "sigmoid")
+
+Section = TypeVar("Section")
 
 
 def canonical_json(obj) -> str:
@@ -25,6 +28,27 @@ def canonical_json(obj) -> str:
 def canonical_json_line(obj) -> str:
     """Compact one-line canonical form used inside checkpoint headers."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def parse_section(raw, label: str, cls: type[Section],
+                  build: Callable[..., Section] | None = None) -> Section:
+    """Build the config section `cls` from its JSON value `raw`, an object
+    whose keys name fields of `cls`; the error messages call it `label`.
+
+    `build(**raw)` makes and validates the section; by default it is
+    `cls(**raw).validate()`. A TypeError or ValueError raised on the way (a
+    value of the wrong type or length) becomes a ConfigError, like every
+    other defect of the file.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the {label} section must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
+    try:
+        return build(**raw) if build else cls(**raw).validate()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {label}: {exc}") from exc
 
 
 @dataclass
@@ -80,8 +104,4 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
-        return cls(**raw).validate()
+        return parse_section(raw, "model config", cls)

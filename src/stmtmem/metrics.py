@@ -178,7 +178,7 @@ def score_corpus(records: Iterable[tuple[str, Sequence[str], Sequence[str]]]) ->
     return ScoredCorpus(entries, bleu, mean)
 
 
-def _check_aligned(name_a: str, a: Mapping, name_b: str, b: Mapping) -> None:
+def check_aligned(name_a: str, a: Mapping, name_b: str, b: Mapping) -> None:
     missing_b = sorted(set(a) - set(b))
     missing_a = sorted(set(b) - set(a))
     if missing_a or missing_b:
@@ -213,8 +213,8 @@ def difference_set(preds_a: Mapping[str, Sequence[str]], preds_b: Mapping[str, S
                    refs: Mapping[str, Sequence[str]]) -> SetPartition:
     """Partition samples by whether the two systems' canonicalized
     predictions differ; report per-set BLEU and mean METEOR for both."""
-    _check_aligned("system A", preds_a, "system B", preds_b)
-    _check_aligned("predictions", preds_a, "references", refs)
+    check_aligned("system A", preds_a, "system B", preds_b)
+    check_aligned("predictions", preds_a, "references", refs)
     difference = []
     same = []
     for sid in sorted(preds_a):
@@ -248,7 +248,7 @@ class ImprovedSet:
 def improved_set(meteor_a: Mapping[str, float], meteor_b: Mapping[str, float]) -> ImprovedSet:
     """Samples where system A's METEOR strictly exceeds system B's, with
     both systems' mean METEOR over that subset."""
-    _check_aligned("system A", meteor_a, "system B", meteor_b)
+    check_aligned("system A", meteor_a, "system B", meteor_b)
     ids = sorted(sid for sid in meteor_a if meteor_a[sid] > meteor_b[sid])
     if not meteor_a:
         raise UsageError("improved_set: empty score lists")

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ModelConfig
-from .corpus import EncodedSample, StatementMatrix
+from .corpus import EncodedSample
 from .errors import UsageError
 from .params import ParameterSet, glorot_init, uniform_init
 from .tensor import (
@@ -185,8 +185,8 @@ def _length_mask(lengths: np.ndarray, depth: int) -> np.ndarray:
     return (np.arange(depth) < np.asarray(lengths)[..., None]).astype(np.float64)
 
 
-def _encode_statements_positional(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
-                                  embedding: Tensor, p_matrix: np.ndarray) -> Tensor:
+def encode_statements_positional(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
+                                 embedding: Tensor, p_matrix: np.ndarray) -> Tensor:
     """F_t = sum over word positions y of emb(word) * P[:, y], restricted to
     the statement's true length; all-pad rows stay zero."""
     b, n, y = stmt_ids.shape
@@ -197,8 +197,8 @@ def _encode_statements_positional(stmt_ids: np.ndarray, stmt_lengths: np.ndarray
     return sum_axis(mul(mul(emb, pos), mask), 2)                  # [B, n, e]
 
 
-def _encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
-                           embedding: Tensor, w: GRUWeights, l_dim: int) -> Tensor:
+def encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
+                          embedding: Tensor, w: GRUWeights, l_dim: int) -> Tensor:
     """F_t = final GRU state over the statement's words (state frozen past
     each row's true length; empty rows never update, so they stay zero)."""
     b, n, y = stmt_ids.shape
@@ -215,16 +215,20 @@ def _encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
     return reshape(state, (b, n, l_dim))
 
 
-def _memory_hops_batch(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
-                       w: GRUWeights, gate_squash: str,
-                       collect_gates: bool = False) -> tuple[Tensor, np.ndarray | None]:
+def memory_hops(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
+                w: GRUWeights, gate_squash: str,
+                collect_gates: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """Run `hops` episodes over the statements [B, n, d]. Within a hop the
     episode memory m starts at zero and each real statement t applies
 
         m <- g_t * GRU(F_t, m) + (1 - g_t) * m
 
     with g_t gated against the previous hop's final memory (hop 1 gates
-    against the zero memory). Pad statements are skipped entirely."""
+    against the zero memory). Pad statements (valid [B, n] false) are
+    skipped entirely. Returns the memory stack [B, hops, d] and, when
+    `collect_gates`, the gate values [B, hops, n] (pad slots 0)."""
+    if hops < 1:
+        raise UsageError(f"hops must be >= 1, got {hops}")
     b, n, d = f.shape
     m_prev = zeros((b, d))
     memories = []
@@ -259,12 +263,6 @@ class EncoderState:
     gates: np.ndarray | None = None     # [B, h, n] gate values (constant_q, when collected)
 
 
-def _memory(f: Tensor, q: Tensor, valid: np.ndarray, params: ParameterSet,
-            config: ModelConfig, collect_trace: bool) -> tuple[Tensor, np.ndarray | None]:
-    return _memory_hops_batch(f, q, valid, config.h, gru_weights(params, "episodic_gru"),
-                              config.gate_squash, collect_gates=collect_trace)
-
-
 def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
            collect_trace: bool = False) -> EncoderState:
     """Code-GRU states and statement vectors of a batch (its summary slots
@@ -276,17 +274,18 @@ def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
     if config.encoder_kind == "smn":
         if config.statement_encoding == "positional":
             p_matrix = positional_matrix(config.e_dim, config.y)
-            state.f = _encode_statements_positional(inputs.stmt_ids, inputs.stmt_lengths,
-                                                    params["embed.code"], p_matrix)
+            state.f = encode_statements_positional(inputs.stmt_ids, inputs.stmt_lengths,
+                                                   params["embed.code"], p_matrix)
         else:
-            state.f = _encode_statements_eos(inputs.stmt_ids, inputs.stmt_lengths,
-                                             params["embed.code"],
-                                             gru_weights(params, "eos_gru"), l)
+            state.f = encode_statements_eos(inputs.stmt_ids, inputs.stmt_lengths,
+                                            params["embed.code"],
+                                            gru_weights(params, "eos_gru"), l)
         state.valid = inputs.stmt_lengths > 0
         if config.gate_query == "constant_q":
             q = constant(np.full((inputs.code_ids.shape[0], l), config.q_fill))
-            state.mem, state.gates = _memory(state.f, q, state.valid, params, config,
-                                             collect_trace)
+            state.mem, state.gates = memory_hops(state.f, q, state.valid, config.h,
+                                                 gru_weights(params, "episodic_gru"),
+                                                 config.gate_squash, collect_trace)
     return state
 
 
@@ -310,7 +309,9 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
         mem, gate_values = state.mem, state.gates
         if config.gate_query == "summary_vector":
             q = slice_axis(h_dec, 1, config.comlen - 1)                     # decoder final state
-            mem, gate_values = _memory(state.f, q, state.valid, params, config, collect_trace)
+            mem, gate_values = memory_hops(state.f, q, state.valid, config.h,
+                                           gru_weights(params, "episodic_gru"),
+                                           config.gate_squash, collect_trace)
         attn_mem = softmax(matmul(h_dec, transpose_last2(mem)), axis=-1)
         parts.append(matmul(attn_mem, mem))                                 # ctx over memories
         if collect_trace:
@@ -349,50 +350,3 @@ def forward(encoded: EncodedSample, params: ParameterSet, config: ModelConfig,
                                        collect_trace=collect_trace)
     return ForwardOutput(next_word_dist=dists.data[0].copy(),
                          trace=traces[0] if traces else None)
-
-
-def encode_statements_positional(statements: StatementMatrix, embedding: Tensor,
-                                 p_matrix: np.ndarray) -> Tensor:
-    """Single-sample statement encoding, [n, e_dim]; pad rows are zero."""
-    n, y = statements.ids.shape
-    out = _encode_statements_positional(statements.ids[None], statements.lengths[None],
-                                        embedding, p_matrix)
-    return reshape(out, (n, embedding.shape[1]))
-
-
-def encode_statements_eos(statements: StatementMatrix, embedding: Tensor,
-                          w: GRUWeights) -> Tensor:
-    """Single-sample EOS statement encoding, [n, l_dim]; pad rows are zero."""
-    n, y = statements.ids.shape
-    l_dim = w.uz.shape[0]
-    out = _encode_statements_eos(statements.ids[None], statements.lengths[None],
-                                 embedding, w, l_dim)
-    return reshape(out, (n, l_dim))
-
-
-def gate(f_k: Tensor, q: Tensor, m_prev: Tensor, gate_squash: str = "none") -> Tensor:
-    """Scalar gate for one statement vector against the query and the
-    previous memory."""
-    if not (f_k.shape == q.shape == m_prev.shape) or f_k.ndim != 1:
-        raise UsageError(
-            f"gate expects three equal-length vectors, got {f_k.shape}, {q.shape}, {m_prev.shape}"
-        )
-    d = f_k.shape[0]
-    g = episodic_gate(reshape(f_k, (1, d)), reshape(q, (1, d)), reshape(m_prev, (1, d)),
-                      squash=gate_squash == "sigmoid")
-    return reshape(g, ())
-
-
-def memory_hops(f: Tensor, q: Tensor, hops: int, w: GRUWeights, statement_count: int,
-                gate_squash: str = "none") -> MemoryTrace:
-    """Single-sample memory trace: exactly `hops` memory rows regardless of
-    how many statements are real; statements beyond statement_count are
-    skipped."""
-    if hops < 1:
-        raise UsageError(f"hops must be >= 1, got {hops}")
-    n, d = f.shape
-    valid = (np.arange(n) < statement_count)[None, :]
-    with no_grad():
-        mem, gates = _memory_hops_batch(reshape(f, (1, n, d)), reshape(q, (1, d)), valid,
-                                        hops, w, gate_squash, collect_gates=True)
-    return MemoryTrace(memories=mem.data[0].copy(), gates=gates[0].copy())

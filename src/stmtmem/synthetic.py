@@ -18,10 +18,11 @@ in-family decoys and the answer depends on statement order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import parse_section
 from .corpus import NEWLINE_TOKEN, Sample
 from .errors import ConfigError
 
@@ -46,6 +47,11 @@ class SyntheticSpec:
     statement_range: tuple[int, int] = (3, 8)
     families: tuple[str, ...] = FAMILIES
     max_payloads: int = 1
+
+    def __post_init__(self):
+        # JSON gives lists
+        self.statement_range = tuple(self.statement_range)
+        self.families = tuple(self.families)
 
     def validate(self) -> "SyntheticSpec":
         if self.projects < 1 or self.samples_per_project < 1:
@@ -75,16 +81,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown synthetic spec keys: {', '.join(unknown)}")
-        kwargs = dict(raw)
-        if "statement_range" in kwargs:
-            kwargs["statement_range"] = tuple(kwargs["statement_range"])
-        if "families" in kwargs:
-            kwargs["families"] = tuple(kwargs["families"])
-        return cls(**kwargs).validate()
+        return parse_section(raw, "synthetic spec", cls)
 
 
 def _pick(rng: np.random.Generator, pool):

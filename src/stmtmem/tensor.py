@@ -6,9 +6,9 @@ shapes; the only shape coercions are explicit ops (broadcast_to, reshape,
 concat, ...). Repeated backward() calls accumulate into existing gradient
 buffers until they are cleared.
 
-matmul accepts, besides the plain 2-d case: a 1-d row vector against a
-matrix, a stacked [..., r, k] left operand against a shared 2-d weight
-matrix, and two stacks with identical leading dimensions.
+matmul accepts, besides the plain 2-d case, a stacked [..., r, k] left
+operand against a shared 2-d weight matrix, and two stacks with identical
+leading dimensions.
 """
 
 from __future__ import annotations
@@ -105,21 +105,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
@@ -155,18 +140,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
@@ -187,16 +160,6 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * s)
-
-    return _make(a.data * s, (a,), backward)
-
-
 def add_const(a: Tensor, c: float) -> Tensor:
     def backward(g):
         if a.requires_grad:
@@ -205,39 +168,10 @@ def add_const(a: Tensor, c: float) -> Tensor:
     return _make(a.data + float(c), (a,), backward)
 
 
-def abs_(a: Tensor) -> Tensor:
-    # Subgradient at exactly 0 is 0 (np.sign(0) == 0).
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
-
-    return _make(np.abs(a.data), (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - y * y))
-
-    return _make(y, (a,), backward)
-
-
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp(-|x|) never overflows
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid_values(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * y * (1.0 - y))
-
-    return _make(y, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -250,18 +184,16 @@ def relu(a: Tensor) -> Tensor:
 
 def _weight_grad(ad: np.ndarray, g: np.ndarray, weight_shape) -> np.ndarray:
     """Gradient of a shared 2-d weight in `ad @ weight`, given the output's."""
-    if ad.ndim == 1:
-        return np.outer(ad, g)
     k, c = weight_shape
     return ad.reshape(-1, k).T @ g.reshape(-1, c)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise DimensionError(f"matmul: scalars not allowed, shapes {ad.shape} and {bd.shape}")
-    inner_b = bd.shape[0] if bd.ndim == 1 else bd.shape[-2]
-    if bd.ndim == 1 or ad.shape[-1] != inner_b:
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise DimensionError(f"matmul: operands must be at least 2-d, "
+                             f"shapes {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree for shapes {ad.shape} and {bd.shape}")
 
     if bd.ndim == 2:
@@ -462,48 +394,30 @@ def log(a: Tensor) -> Tensor:
 
 
 def gather_index(a: Tensor, index) -> Tensor:
-    """Pick one entry along the last axis: [v] + int -> scalar, [B, v] +
-    length-B ids -> [B]. Gradients scatter back."""
-    if a.ndim == 1:
-        i = int(index)
-        if i < 0 or i >= a.shape[0]:
-            raise VocabularyError(f"token id {i} outside vocabulary of size {a.shape[0]}")
+    """Pick one entry per row of a [B, v] matrix, given length-B ids;
+    returns [B]. Gradients scatter back."""
+    if a.ndim != 2:
+        raise DimensionError(f"gather_index: unsupported shape {a.shape}")
+    ids = np.asarray(index, dtype=np.int64)
+    if ids.shape != (a.shape[0],):
+        raise DimensionError(f"gather_index: want {a.shape[0]} ids, got shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[1]):
+        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+        raise VocabularyError(f"token id {bad} outside vocabulary of size {a.shape[1]}")
+    rows = np.arange(a.shape[0])
 
-        def backward(g):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                a.grad[i] += g
+    def backward(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, (rows, ids), g)
 
-        return _make(np.asarray(a.data[i]), (a,), backward)
-
-    if a.ndim == 2:
-        ids = np.asarray(index, dtype=np.int64)
-        if ids.shape != (a.shape[0],):
-            raise DimensionError(f"gather_index: want {a.shape[0]} ids, got shape {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= a.shape[1]):
-            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-            raise VocabularyError(f"token id {bad} outside vocabulary of size {a.shape[1]}")
-        rows = np.arange(a.shape[0])
-
-        def backward(g):
-            if a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, (rows, ids), g)
-
-        return _make(a.data[rows, ids], (a,), backward)
-
-    raise DimensionError(f"gather_index: unsupported shape {a.shape}")
+    return _make(a.data[rows, ids], (a,), backward)
 
 
 def cross_entropy(pred: Tensor, target) -> Tensor:
-    """-ln(pred[target]) with the probability clamped at 1e-12.
-
-    `pred` is either a length-v probability vector with an int target
-    (returns a scalar) or a [B, v] matrix with length-B targets (returns
-    per-row losses).
-    """
+    """Per-row -ln(pred[row, target]) of a [B, v] probability matrix and
+    length-B targets, with the probability clamped at 1e-12; returns [B]."""
     picked = gather_index(pred, target)
     return neg(log(clamp_min(picked, 1e-12)))
 
@@ -521,7 +435,7 @@ class GRUWeights(NamedTuple):
 
 
 def _check_gru_shapes(xd: np.ndarray, hd: np.ndarray, w: GRUWeights) -> None:
-    if xd.ndim not in (1, 2) or hd.ndim != xd.ndim or hd.shape[:-1] != xd.shape[:-1]:
+    if xd.ndim != 2 or hd.ndim != 2 or hd.shape[0] != xd.shape[0]:
         raise DimensionError(f"gru_cell: input {xd.shape} and state {hd.shape} disagree")
     e, l = xd.shape[-1], hd.shape[-1]
     want = {"w": (e, l), "u": (l, l), "b": (l,)}
@@ -537,13 +451,13 @@ def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
         r  = sigmoid(Wr x + Ur h + br)
         h~ = tanh(Wh x + Uh (r*h) + bh)
 
-    Accepts a single step ([E], [H]) or a batch ([B, E], [B, H]).
+    Takes a batch: x is [B, E] and h is [B, H].
 
     The step is one tape node instead of a graph of about two dozen
     elementwise ops. Forward and backward do the float operations of that
     graph, and each parent gets its gradient terms in the order the
     graph's tape walk adds them, so the results are bitwise those of the
-    op-by-op cell. For that, a batch keeps the graph's broadcast node for
+    op-by-op cell. For that, the cell keeps the graph's broadcast node for
     bh: the walk reaches it before h, so after a sequence GRU's backward
     bh's terms arrive first step first, as they did in the graph.
     """
@@ -559,13 +473,12 @@ def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
     if not (_GRAD_ENABLED and (x.requires_grad or h.requires_grad
                                or any(part.requires_grad for part in w))):
         return out
-    batched = xd.ndim == 2
-    bh_in = broadcast_to(w.bh, hbar.shape) if batched else w.bh
+    bh_in = broadcast_to(w.bh, hbar.shape)
 
     def bias_grad(g):
         # the graph summed a batch's bias rows in a broadcast node's
         # gradient buffer, which zeros_like lays out column-major
-        return np.asfortranarray(g).sum(axis=(0,)) if batched else g
+        return np.asfortranarray(g).sum(axis=(0,))
 
     def backward(g):
         gaz = (g * hd - g * hbar) * z * (1.0 - z)

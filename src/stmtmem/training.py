@@ -121,7 +121,6 @@ def train(train_set: Sequence[EncodedSample], val_set: Sequence[EncodedSample],
 
     reports: list[EpochReport] = []
     best_params = params.copy()
-    best_index = -1
     for epoch in range(max_epochs):
         order = shuffle_rng.permutation(len(train_pairs))
         loss_sum = 0.0
@@ -139,10 +138,8 @@ def train(train_set: Sequence[EncodedSample], val_set: Sequence[EncodedSample],
         reports.append(EpochReport(epoch, loss_sum / len(train_pairs), val_acc, val_loss))
         if select_best(reports) == epoch:
             best_params = params.copy()
-            best_index = epoch
         if stop_at_accuracy is not None and val_acc >= stop_at_accuracy:
             break
-    assert best_index == select_best(reports)
     return best_params, reports
 
 

@@ -14,20 +14,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stmtmem import tensor as T
 from stmtmem import verify
 from stmtmem.cli import DEFAULT_ABLATION_SWEEP, main as cli_main
 from stmtmem.config import ModelConfig
 from stmtmem.corpus import build_vocab, encode_sample, split_by_project
 from stmtmem.decoding import LoadedModel, greedy_decode, predict_corpus
 from stmtmem.metrics import bleu_corpus, meteor
-from stmtmem.model import memory_hops, positional_matrix
+from stmtmem.model import positional_matrix
 from stmtmem.stats import paired_t_test, student_t_two_tailed
 from stmtmem.synthetic import SyntheticSpec, generate_synthetic_corpus
 from stmtmem.training import evaluate_next_token, expand_pairs, train
 
 from test_metrics import brute_force_meteor
-from test_model import random_gru_weights, scalar_gru_step, scalar_gru_weights
+from test_model import one_sample_hops, random_gru_weights, scalar_gru_step, scalar_gru_weights
 
 
 def ok(message):
@@ -69,28 +68,27 @@ def test_criterion_3_memory_invariants():
     rng = np.random.default_rng(33)
     w = random_gru_weights(rng, 3, 3)
 
-    zero_f, zero_q = T.constant(np.zeros((4, 3))), T.constant(np.zeros(3))
-    trace = memory_hops(zero_f, zero_q, 3, w, statement_count=4)
+    trace = one_sample_hops(np.zeros((4, 3)), np.zeros(3), 3, w, statement_count=4)
     assert not trace.memories.any() and not trace.gates.any()
 
     for hops in (1, 2, 3, 4, 5):
-        t = memory_hops(T.constant(rng.uniform(-1, 1, (2, 3))),
-                        T.constant(np.full(3, 0.1)), hops, w, statement_count=2)
+        t = one_sample_hops(rng.uniform(-1, 1, (2, 3)), np.full(3, 0.1), hops, w,
+                            statement_count=2)
         assert t.memories.shape == (hops, 3)
 
     for _ in range(1000):
         real = rng.uniform(-2, 2, (2, 3))
-        q = T.constant(rng.uniform(-1, 1, 3))
-        f_a = T.constant(np.vstack([real, rng.uniform(-9, 9, (2, 3))]))
-        f_b = T.constant(np.vstack([real, rng.uniform(-9, 9, (2, 3))[::-1]]))
-        t_a = memory_hops(f_a, q, 2, w, statement_count=2)
-        t_b = memory_hops(f_b, q, 2, w, statement_count=2)
+        q = rng.uniform(-1, 1, 3)
+        f_a = np.vstack([real, rng.uniform(-9, 9, (2, 3))])
+        f_b = np.vstack([real, rng.uniform(-9, 9, (2, 3))[::-1]])
+        t_a = one_sample_hops(f_a, q, 2, w, statement_count=2)
+        t_b = one_sample_hops(f_b, q, 2, w, statement_count=2)
         assert t_a.memories.tobytes() == t_b.memories.tobytes()
 
     args = (0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
     sw = scalar_gru_weights(*args)
     f1, f2, qv = 0.8, -0.6, 0.1
-    got = memory_hops(T.constant([[f1], [f2]]), T.constant([qv]), 1, sw, 2)
+    got = one_sample_hops([[f1], [f2]], [qv], 1, sw, 2)
     gate_of = lambda fv, q, m: (math.tanh(fv * q) + math.tanh(fv * m)
                                 + math.tanh(abs(fv - q)) + math.tanh(abs(fv - m)))
     m = 0.0

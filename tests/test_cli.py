@@ -67,7 +67,7 @@ class TestRunConfig:
         again = RunConfig.from_dict(json.loads(canonical_json(cfg.to_dict())))
         assert again == cfg
 
-    def test_unknown_keys_rejected_at_each_level(self, tmp_path):
+    def test_unknown_keys_rejected_at_each_level(self, tmp_path, capsys):
         raw = base_config_dict(str(tmp_path))
         raw["mystery"] = 1
         with pytest.raises(ConfigError, match="mystery"):
@@ -80,6 +80,49 @@ class TestRunConfig:
         raw["paths"]["__x"] = "p"
         with pytest.raises(ConfigError, match="__x"):
             RunConfig.from_dict(raw)
+        raw = base_config_dict(str(tmp_path))
+        raw["split"]["shuffle"] = True
+        with pytest.raises(ConfigError, match="shuffle"):
+            RunConfig.from_dict(raw)
+        raw = base_config_dict(str(tmp_path))
+        raw["synthetic"]["noise"] = 0.5
+        with pytest.raises(ConfigError, match="noise"):
+            RunConfig.from_dict(raw)
+        path = write_config(tmp_path)
+        assert cli.main(["prepare", "--config", path]) == 0
+        sweep_path = str(tmp_path / "sweep.json")
+        with open(sweep_path, "w") as fh:
+            json.dump([{"name": "x", "hops": 1}], fh)
+        capsys.readouterr()
+        assert cli.main(["ablate", "--config", path, "--sweep", sweep_path]) == 1
+        assert "hops" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, sweep", [
+        (lambda raw: [], None),
+        (lambda raw: {**raw, "model": 5}, None),
+        (lambda raw: {**raw, "model": {"h": "3"}}, None),
+        (lambda raw: {**raw, "seed": "abc"}, None),
+        (lambda raw: {**raw, "split": {"ratios": 5}}, None),
+        (lambda raw: {**raw, "synthetic": {"statement_range": [3]}}, None),
+        (lambda raw: raw, [{"name": "x", "h": "3"}]),
+    ], ids=["top_level_list", "model_not_object", "model_value_type", "seed_not_int",
+            "ratios_not_list", "statement_range_short", "sweep_value_type"])
+    def test_malformed_values_exit_1_with_one_line(self, tmp_path, capsys, edit, sweep):
+        path = str(tmp_path / "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(edit(base_config_dict(str(tmp_path))), fh)
+        argv = ["prepare", "--config", path]
+        if sweep is not None:
+            assert cli.main(argv) == 0
+            sweep_path = str(tmp_path / "sweep.json")
+            with open(sweep_path, "w") as fh:
+                json.dump(sweep, fh)
+            argv = ["ablate", "--config", path, "--sweep", sweep_path]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_bad_ratios_fail_before_any_io(self, tmp_path):
         path = write_config(tmp_path, {"split": {"ratios": [0.9, 0.2, 0.1]}})
@@ -199,6 +242,20 @@ class TestTrainPredictEvaluate:
         assert report["improved_set_a_over_b"]["pct"] == 0.0
         assert report["overall"]["ttest"]["t"] == 0.0
         assert report["overall"]["ttest"]["p"] == 1.0
+
+    def test_analyze_missing_prediction_is_data_error(self, pipeline, capsys):
+        root, path = pipeline
+        preds = str(root / "model.preds")
+        assert cli.main(["predict", "--config", path]) == 0
+        lines = (root / "model.preds").read_text(encoding="utf-8").splitlines()
+        short = root / "short.preds"
+        short.write_text(lines[0] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["analyze", "--config", path, preds, str(short),
+                         "--out", str(root / "short.analysis")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "short.preds" in err
+        assert "Traceback" not in err
 
 
 class TestErrorContract:

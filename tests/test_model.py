@@ -10,7 +10,7 @@ import pytest
 import stmtmem.model
 from stmtmem import tensor as T
 from stmtmem.corpus import EncodedSample, StatementMatrix
-from stmtmem.errors import UsageError
+from stmtmem.errors import DimensionError, UsageError
 from stmtmem.model import (
     MemoryTrace,
     ModelInputs,
@@ -19,7 +19,6 @@ from stmtmem.model import (
     encode_statements_eos,
     encode_statements_positional,
     forward,
-    gate,
     init_params,
     memory_hops,
     parameter_count,
@@ -27,6 +26,8 @@ from stmtmem.model import (
     prefix_row,
 )
 from stmtmem.verify import toy_config
+
+import op_graph
 
 
 def scalar_gru_weights(wz, uz, bz, wr, ur, br, wh, uh, bh, requires_grad=False):
@@ -69,67 +70,60 @@ class TestPositionalEncoding:
     def test_uniform_statement_row_sum(self):
         # Y identical words with all-ones embeddings: F_x = (Y-1)/2 + x/X.
         x_dim, y_len = 6, 4
-        ids = np.full((1, y_len), 5, dtype=np.int64)
-        stmts = StatementMatrix(ids=ids, statement_count=1,
-                                lengths=np.array([y_len]))
+        ids = np.full((1, 1, y_len), 5, dtype=np.int64)
         table = T.constant(np.ones((8, x_dim)))
-        f = encode_statements_positional(stmts, table, positional_matrix(x_dim, y_len))
+        f = encode_statements_positional(ids, np.array([[y_len]]), table,
+                                         positional_matrix(x_dim, y_len))
         xs = np.arange(1, x_dim + 1)
-        np.testing.assert_allclose(f.data[0], (y_len - 1) / 2 + xs / x_dim, atol=1e-12)
+        np.testing.assert_allclose(f.data[0, 0], (y_len - 1) / 2 + xs / x_dim, atol=1e-12)
 
     def test_zero_embedding_gives_zero(self):
-        stmts = StatementMatrix(ids=np.array([[1, 2, 3]]), statement_count=1,
-                                lengths=np.array([3]))
         table = T.constant(np.zeros((8, 4)))
-        f = encode_statements_positional(stmts, table, positional_matrix(4, 3))
-        np.testing.assert_array_equal(f.data, np.zeros((1, 4)))
+        f = encode_statements_positional(np.array([[[1, 2, 3]]]), np.array([[3]]), table,
+                                         positional_matrix(4, 3))
+        np.testing.assert_array_equal(f.data[0], np.zeros((1, 4)))
 
     def test_word_in_final_slot_scales_by_x_over_X(self):
         # Only the word in slot Y has a nonzero embedding: F = emb * (x/X).
         x_dim, y_len = 5, 3
         table_data = np.zeros((8, x_dim))
         table_data[6] = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
-        ids = np.array([[7, 7, 6]])
-        stmts = StatementMatrix(ids=ids, statement_count=1, lengths=np.array([3]))
-        f = encode_statements_positional(stmts, T.constant(table_data),
-                                         positional_matrix(x_dim, y_len))
+        f = encode_statements_positional(np.array([[[7, 7, 6]]]), np.array([[3]]),
+                                         T.constant(table_data), positional_matrix(x_dim, y_len))
         xs = np.arange(1, x_dim + 1)
-        np.testing.assert_allclose(f.data[0], table_data[6] * xs / x_dim, atol=1e-12)
+        np.testing.assert_allclose(f.data[0, 0], table_data[6] * xs / x_dim, atol=1e-12)
 
     def test_pad_rows_are_zero(self):
-        ids = np.zeros((3, 4), dtype=np.int64)
-        ids[0, :2] = [1, 2]
-        stmts = StatementMatrix(ids=ids, statement_count=1,
-                                lengths=np.array([2, 0, 0]))
+        ids = np.zeros((1, 3, 4), dtype=np.int64)
+        ids[0, 0, :2] = [1, 2]
         table = T.constant(np.random.default_rng(0).uniform(-1, 1, (8, 4)))
-        f = encode_statements_positional(stmts, table, positional_matrix(4, 4))
-        np.testing.assert_array_equal(f.data[1:], np.zeros((2, 4)))
+        f = encode_statements_positional(ids, np.array([[2, 0, 0]]), table,
+                                         positional_matrix(4, 4))
+        np.testing.assert_array_equal(f.data[0, 1:], np.zeros((2, 4)))
 
     def test_word_order_changes_statement_vector(self):
         rng = np.random.default_rng(1)
         table = T.constant(rng.uniform(-1, 1, (8, 4)))
         p = positional_matrix(4, 3)
-        ab = StatementMatrix(np.array([[5, 6, 0]]), 1, np.array([2]))
-        ba = StatementMatrix(np.array([[6, 5, 0]]), 1, np.array([2]))
-        f_ab = encode_statements_positional(ab, table, p).data
-        f_ba = encode_statements_positional(ba, table, p).data
+        lengths = np.array([[2]])
+        f_ab = encode_statements_positional(np.array([[[5, 6, 0]]]), lengths, table, p).data
+        f_ba = encode_statements_positional(np.array([[[6, 5, 0]]]), lengths, table, p).data
         assert not np.allclose(f_ab, f_ba)
 
 
 class TestEosEncoding:
     def test_zero_weights_give_zero(self):
         w = scalar_gru_weights(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        stmts = StatementMatrix(np.array([[3, 4, 3]]), 1, np.array([3]))
         table = T.constant(np.ones((8, 1)))
-        f = encode_statements_eos(stmts, table, w)
-        np.testing.assert_array_equal(f.data, np.zeros((1, 1)))
+        f = encode_statements_eos(np.array([[[3, 4, 3]]]), np.array([[3]]), table, w, 1)
+        np.testing.assert_array_equal(f.data[0], np.zeros((1, 1)))
 
     def test_no_statements_gives_zeros(self):
         w = scalar_gru_weights(0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
-        stmts = StatementMatrix(np.zeros((2, 3), dtype=np.int64), 0, np.zeros(2, dtype=np.int64))
         table = T.constant(np.ones((8, 1)))
-        f = encode_statements_eos(stmts, table, w)
-        np.testing.assert_array_equal(f.data, np.zeros((2, 1)))
+        f = encode_statements_eos(np.zeros((1, 2, 3), dtype=np.int64),
+                                  np.zeros((1, 2), dtype=np.int64), table, w, 1)
+        np.testing.assert_array_equal(f.data[0], np.zeros((2, 1)))
 
     def test_two_word_statement_matches_hand_unroll(self):
         args = (0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
@@ -137,43 +131,60 @@ class TestEosEncoding:
         table_data = np.zeros((8, 1))
         table_data[3, 0] = 0.9
         table_data[4, 0] = -0.4
-        stmts = StatementMatrix(np.array([[3, 4, 0]]), 1, np.array([2]))
-        f = encode_statements_eos(stmts, T.constant(table_data), w)
+        f = encode_statements_eos(np.array([[[3, 4, 0]]]), np.array([[2]]),
+                                  T.constant(table_data), w, 1)
         h1 = scalar_gru_step(0.9, 0.0, *args)
         h2 = scalar_gru_step(-0.4, h1, *args)
-        np.testing.assert_allclose(f.data[0, 0], h2, atol=1e-12)
+        np.testing.assert_allclose(f.data[0, 0, 0], h2, atol=1e-12)
+
+
+def gate_value(f, q, m, squash=False):
+    """The episodic gate of one statement vector, as a float."""
+    rows = (T.constant(np.asarray(v, dtype=np.float64)[None]) for v in (f, q, m))
+    return float(T.episodic_gate(*rows, squash=squash).data[0, 0])
 
 
 class TestGate:
     def test_zero_everything(self):
-        zero = T.constant(np.zeros(3))
-        assert gate(zero, zero, zero).item() == 0.0
+        zero = np.zeros(3)
+        assert gate_value(zero, zero, zero) == 0.0
 
     def test_hand_computed_value(self):
-        g = gate(T.constant([1.0]), T.constant([0.1]), T.constant([0.0]))
+        g = gate_value([1.0], [0.1], [0.0])
         expected = math.tanh(0.1) + math.tanh(0.0) + math.tanh(0.9) + math.tanh(1.0)
-        assert g.item() == pytest.approx(expected, abs=1e-12)
-        assert g.item() == pytest.approx(1.57756, abs=5e-6)
+        assert g == pytest.approx(expected, abs=1e-12)
+        assert g == pytest.approx(1.57756, abs=5e-6)
 
     def test_simultaneous_sign_flip_invariance(self):
         rng = np.random.default_rng(2)
         f, q, m = (rng.uniform(-1, 1, 5) for _ in range(3))
-        g_pos = gate(T.constant(f), T.constant(q), T.constant(m)).item()
-        g_neg = gate(T.constant(-f), T.constant(-q), T.constant(-m)).item()
+        g_pos = gate_value(f, q, m)
+        g_neg = gate_value(-f, -q, -m)
         assert g_pos == pytest.approx(g_neg, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            gate(T.constant(np.zeros(3)), T.constant(np.zeros(2)), T.constant(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            gate_value(np.zeros(3), np.zeros(2), np.zeros(3))
 
     def test_unbounded_by_default_sigmoid_squash_optional(self):
-        f = T.constant(np.full(8, 3.0))
-        q = T.constant(np.full(8, -3.0))
-        m = T.constant(np.zeros(8))
-        raw = gate(f, q, m).item()
+        f = np.full(8, 3.0)
+        q = np.full(8, -3.0)
+        m = np.zeros(8)
+        raw = gate_value(f, q, m)
         assert raw > 1.0
-        squashed = gate(f, q, m, gate_squash="sigmoid").item()
+        squashed = gate_value(f, q, m, squash=True)
         assert 0.0 < squashed < 1.0
+
+
+def one_sample_hops(f, q, hops, w, statement_count, gate_squash="none") -> MemoryTrace:
+    """memory_hops on a one-sample batch: statement vectors f [n, d], query
+    q [d], statements past statement_count padding. Returns the memory rows
+    [hops, d] and the gates [hops, n]."""
+    f = np.asarray(f, dtype=np.float64)
+    valid = (np.arange(f.shape[0]) < statement_count)[None, :]
+    mem, gates = memory_hops(T.constant(f[None]), T.constant(np.asarray(q, dtype=np.float64)[None]),
+                             valid, hops, w, gate_squash, collect_gates=True)
+    return MemoryTrace(memories=mem.data[0], gates=gates[0])
 
 
 class TestMemoryHops:
@@ -182,9 +193,7 @@ class TestMemoryHops:
 
     def test_zero_inputs_give_zero_memories(self):
         w = random_gru_weights(np.random.default_rng(3), 4, 4)
-        f = T.constant(np.zeros((3, 4)))
-        q = T.constant(np.zeros(4))
-        trace = memory_hops(f, q, 3, w, statement_count=3)
+        trace = one_sample_hops(np.zeros((3, 4)), np.zeros(4), 3, w, statement_count=3)
         np.testing.assert_array_equal(trace.memories, np.zeros((3, 4)))
         np.testing.assert_array_equal(trace.gates, np.zeros((3, 3)))
 
@@ -192,9 +201,8 @@ class TestMemoryHops:
     def test_exactly_h_memory_rows(self, hops):
         rng = np.random.default_rng(hops)
         w = random_gru_weights(rng, 4, 4)
-        f = T.constant(rng.uniform(-1, 1, (2, 4)))
-        q = T.constant(np.full(4, 0.1))
-        trace = memory_hops(f, q, hops, w, statement_count=2)
+        f = rng.uniform(-1, 1, (2, 4))
+        trace = one_sample_hops(f, np.full(4, 0.1), hops, w, statement_count=2)
         assert trace.memories.shape == (hops, 4)
         assert trace.gates.shape == (hops, 2)
 
@@ -202,8 +210,7 @@ class TestMemoryHops:
         args = (0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
         w = scalar_gru_weights(*args)
         f1, f2, qv = 0.8, -0.6, 0.1
-        trace = memory_hops(T.constant([[f1], [f2]]), T.constant([qv]), 1, w,
-                            statement_count=2)
+        trace = one_sample_hops([[f1], [f2]], [qv], 1, w, statement_count=2)
 
         def hand_gate(fv, q, m):
             return (math.tanh(fv * q) + math.tanh(fv * m)
@@ -222,7 +229,7 @@ class TestMemoryHops:
         args = (0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
         w = scalar_gru_weights(*args)
         f1, qv = 0.8, 0.1
-        trace = memory_hops(T.constant([[f1]]), T.constant([qv]), 2, w, statement_count=1)
+        trace = one_sample_hops([[f1]], [qv], 2, w, statement_count=1)
 
         def hand_gate(fv, q, m):
             return (math.tanh(fv * q) + math.tanh(fv * m)
@@ -243,11 +250,11 @@ class TestMemoryHops:
             real = rng.uniform(-2, 2, (2, 3))
             pad_a = rng.uniform(-5, 5, (2, 3))
             pad_b = rng.uniform(-5, 5, (2, 3))
-            q = T.constant(rng.uniform(-1, 1, 3))
-            f_a = T.constant(np.vstack([real, pad_a]))
-            f_b = T.constant(np.vstack([real, pad_b]))
-            t_a = memory_hops(f_a, q, 2, w, statement_count=2)
-            t_b = memory_hops(f_b, q, 2, w, statement_count=2)
+            q = rng.uniform(-1, 1, 3)
+            f_a = np.vstack([real, pad_a])
+            f_b = np.vstack([real, pad_b])
+            t_a = one_sample_hops(f_a, q, 2, w, statement_count=2)
+            t_b = one_sample_hops(f_b, q, 2, w, statement_count=2)
             assert t_a.memories.tobytes() == t_b.memories.tobytes()
             assert (t_a.gates[:, 2:] == 0).all()
 
@@ -256,15 +263,15 @@ class TestMemoryHops:
         w = random_gru_weights(rng, 3, 3)
         a = rng.uniform(-1, 1, 3)
         b = rng.uniform(-1, 1, 3)
-        q = T.constant(np.full(3, 0.1))
-        m_ab = memory_hops(T.constant(np.vstack([a, b])), q, 1, w, 2).memories
-        m_ba = memory_hops(T.constant(np.vstack([b, a])), q, 1, w, 2).memories
+        q = np.full(3, 0.1)
+        m_ab = one_sample_hops(np.vstack([a, b]), q, 1, w, 2).memories
+        m_ba = one_sample_hops(np.vstack([b, a]), q, 1, w, 2).memories
         assert not np.allclose(m_ab, m_ba)
 
     def test_hops_must_be_positive(self):
         w = self.weights()
         with pytest.raises(UsageError):
-            memory_hops(T.constant([[1.0]]), T.constant([0.1]), 0, w, 1)
+            one_sample_hops([[1.0]], [0.1], 0, w, 1)
 
 
 def toy_sample(config, rng) -> EncodedSample:
@@ -405,25 +412,6 @@ class TestSubmodelConsistency:
         assert mine.data.tobytes() == theirs.tobytes()
 
 
-def op_graph_gru_cell(x, h, w):
-    """The GRU step as a graph of elementwise tape ops, one node per op."""
-    def affine(x, h, wm, um, b):
-        s = T.add(T.matmul(x, wm), T.matmul(h, um))
-        return T.add(s, b) if s.ndim == 1 else T.add(s, T.broadcast_to(b, s.shape))
-
-    z = T.sigmoid(affine(x, h, w.wz, w.uz, w.bz))
-    r = T.sigmoid(affine(x, h, w.wr, w.ur, w.br))
-    hbar = T.tanh(affine(x, T.mul(r, h), w.wh, w.uh, w.bh))
-    return T.add(T.mul(z, h), T.mul(T.add_const(T.neg(z), 1.0), hbar))
-
-
-def op_graph_episodic_gate(f, q, m, squash=False):
-    """The episodic gate as a graph of elementwise tape ops."""
-    feats = T.concat([T.mul(f, q), T.mul(f, m), T.abs_(T.sub(f, q)), T.abs_(T.sub(f, m))], 1)
-    g = T.sum_axis(T.tanh(feats), 1, keepdims=True)
-    return T.sigmoid(g) if squash else g
-
-
 class TestFusedKernels:
     """gru_cell and episodic_gate are one tape node each; their values and
     gradients must be bitwise those of the op graphs they replace, wherever
@@ -431,9 +419,9 @@ class TestFusedKernels:
 
     def test_single_step_matches_op_graph_bitwise(self):
         rng = np.random.default_rng(8)
-        arrays = [rng.uniform(-1, 1, s) for s in [(3, 4), (4, 4), (4,)] * 3 + [3, 4]]
+        arrays = [rng.uniform(-1, 1, s) for s in [(3, 4), (4, 4), (4,)] * 3 + [(1, 3), (1, 4)]]
         results = []
-        for cell in (T.gru_cell, op_graph_gru_cell):
+        for cell in (T.gru_cell, op_graph.gru_cell):
             *w, x, h = (T.Tensor(a, requires_grad=True) for a in arrays)
             w = T.GRUWeights(*w)
             out = cell(x, h, w)
@@ -449,7 +437,7 @@ class TestFusedKernels:
         arrays[1][0] = arrays[0][0]                 # |f - q| = 0: sign 0 branch
         weights = T.constant(rng.uniform(0.5, 1.5, (16, 1)))
         results = []
-        for gate_op in (T.episodic_gate, op_graph_episodic_gate):
+        for gate_op in (T.episodic_gate, op_graph.episodic_gate):
             f, q, m = (T.Tensor(a, requires_grad=True) for a in arrays)
             g1 = gate_op(f, q, m, squash)
             g2 = gate_op(f, m, m, squash)           # one tensor as query and memory
@@ -478,8 +466,8 @@ class TestFusedKernels:
             return [dists.data] + [p.grad for _, p in params.items()]
 
         fused = step()
-        monkeypatch.setattr(stmtmem.model, "gru_cell", op_graph_gru_cell)
-        monkeypatch.setattr(stmtmem.model, "episodic_gate", op_graph_episodic_gate)
+        monkeypatch.setattr(stmtmem.model, "gru_cell", op_graph.gru_cell)
+        monkeypatch.setattr(stmtmem.model, "episodic_gate", op_graph.episodic_gate)
         graph = step()
         assert len(fused) == len(graph)
         for mine, theirs in zip(fused, graph):

@@ -1,5 +1,6 @@
 """Tensor kernels, autodiff, Adam, and the checkpoint container."""
 
+import inspect
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from stmtmem.params import (
     save_checkpoint,
 )
 from stmtmem import verify
+
+import op_graph
 
 
 def leaf(data):
@@ -71,23 +74,23 @@ class TestMatmul:
 class TestElementwise:
     def test_tanh_at_zero_value_and_gradient(self):
         x = leaf([0.0])
-        y = T.tanh(x)
+        y = op_graph.tanh(x)
         assert y.data[0] == 0.0
         T.sum_all(y).backward()
         assert x.grad[0] == 1.0
 
     def test_sigmoid_at_zero(self):
-        assert T.sigmoid(T.constant([0.0])).data[0] == 0.5
+        assert op_graph.sigmoid(T.constant([0.0])).data[0] == 0.5
 
     def test_abs_definition_and_zero_subgradient(self):
         x = leaf([-0.1, 0.0])
-        y = T.abs_(x)
+        y = op_graph.abs_(x)
         np.testing.assert_array_equal(y.data, [0.1, 0.0])
         T.sum_all(y).backward()
         np.testing.assert_array_equal(x.grad, [-1.0, 0.0])
 
     def test_binary_ops_reject_shape_mismatch(self):
-        for op in (T.add, T.sub, T.mul):
+        for op in (T.add, op_graph.sub, T.mul):
             with pytest.raises(DimensionError):
                 op(T.constant(np.ones(3)), T.constant(np.ones(4)))
 
@@ -180,13 +183,13 @@ class TestGRUCell:
 
     def test_zero_fixed_point(self):
         w = self.zero_weights(3, 4)
-        out = T.gru_cell(T.constant(np.zeros(3)), T.constant(np.zeros(4)), w)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = T.gru_cell(T.constant(np.zeros((1, 3))), T.constant(np.zeros((1, 4))), w)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_zero_weights_halve_state(self):
         w = self.zero_weights(3, 4)
-        h = np.array([1.0, -2.0, 0.5, 4.0])
-        out = T.gru_cell(T.constant(np.zeros(3)), T.constant(h), w)
+        h = np.array([[1.0, -2.0, 0.5, 4.0]])
+        out = T.gru_cell(T.constant(np.zeros((1, 3))), T.constant(h), w)
         np.testing.assert_allclose(out.data, 0.5 * h)
 
     def test_finite_difference(self):
@@ -194,8 +197,8 @@ class TestGRUCell:
         for trial in range(5):
             w = T.GRUWeights(*(leaf(rng.uniform(-1, 1, s)) for s in
                                [(3, 4), (4, 4), (4,)] * 3))
-            x, h = leaf(rng.uniform(-1, 1, 3)), leaf(rng.uniform(-1, 1, 4))
-            proj = T.constant(rng.uniform(0.5, 1.5, 4))
+            x, h = leaf(rng.uniform(-1, 1, (1, 3))), leaf(rng.uniform(-1, 1, (1, 4)))
+            proj = T.constant(rng.uniform(0.5, 1.5, (1, 4)))
             result = verify.check_gradient(
                 f"gru{trial}", lambda: T.sum_all(T.mul(T.gru_cell(x, h, w), proj)),
                 [x, h, *w])
@@ -204,20 +207,20 @@ class TestGRUCell:
 
 class TestCrossEntropy:
     def test_uniform_case(self):
-        dist = T.constant(np.full(4, 0.25))
-        assert math.isclose(T.cross_entropy(dist, 2).item(), math.log(4), rel_tol=1e-12)
+        dist = T.constant(np.full((1, 4), 0.25))
+        assert math.isclose(T.cross_entropy(dist, [2]).data[0], math.log(4), rel_tol=1e-12)
 
     def test_perfect_prediction(self):
-        dist = T.constant([0.0, 1.0, 0.0])
-        assert math.isclose(T.cross_entropy(dist, 1).item(), 0.0, abs_tol=1e-9)
+        dist = T.constant([[0.0, 1.0, 0.0]])
+        assert math.isclose(T.cross_entropy(dist, [1]).data[0], 0.0, abs_tol=1e-9)
 
     def test_quarter_probability(self):
-        dist = T.constant([0.25, 0.5, 0.25])
-        assert math.isclose(T.cross_entropy(dist, 0).item(), 1.38629, abs_tol=1e-5)
+        dist = T.constant([[0.25, 0.5, 0.25]])
+        assert math.isclose(T.cross_entropy(dist, [0]).data[0], 1.38629, abs_tol=1e-5)
 
     def test_out_of_range_target(self):
         with pytest.raises(VocabularyError):
-            T.cross_entropy(T.constant([0.5, 0.5]), 2)
+            T.cross_entropy(T.constant([[0.5, 0.5]]), [2])
 
     def test_batched_rows(self):
         dist = T.constant([[0.5, 0.5], [0.25, 0.75]])
@@ -233,7 +236,7 @@ class TestBackward:
 
     def test_tanh_derivative_at_zero(self):
         x = leaf([0.0])
-        T.sum_all(T.tanh(x)).backward()
+        T.sum_all(op_graph.tanh(x)).backward()
         assert x.grad[0] == 1.0
 
     def test_non_scalar_loss_rejected(self):
@@ -299,6 +302,27 @@ class TestFiniteDifferenceInvariant:
         results = verify.run_op_checks(seed=123, trials=4)
         for r in results:
             assert r.passed, f"{r.name}: {r.max_rel_err:.3e}"
+
+    def test_every_kernel_has_a_gradient_check(self):
+        # a kernel is a public function of stmtmem.tensor that takes a
+        # Tensor and returns one; a case is named after its kernel, with
+        # an optional _suffix for a variant (matmul_shared)
+        def is_kernel(fn):
+            sig = inspect.signature(fn)
+            return sig.return_annotation == "Tensor" and any(
+                "Tensor" in str(p.annotation) for p in sig.parameters.values())
+
+        kernels = {name for name, fn in vars(T).items()
+                   if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                   and not name.startswith("_") and is_kernel(fn)}
+        assert {"matmul", "gru_cell", "episodic_gate"} <= kernels
+        cases = [name for name, _, _ in verify.op_check_cases(np.random.default_rng(0))]
+        checked = {}
+        for case in cases:
+            named = [k for k in kernels if case == k or case.startswith(k + "_")]
+            assert named, f"gradient check {case!r} names no kernel"
+            checked[case] = max(named, key=len)
+        assert sorted(kernels - set(checked.values())) == []
 
 
 class TestDeterminism:
