@@ -1,5 +1,12 @@
 """Statement-memory code summarization: model, pipeline, and evaluation."""
 
+import os
+
+# One BLAS thread unless the user set a count, before numpy loads: a second
+# one gains no wall time at these shapes and changes the trained bits.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .config import ModelConfig
 from .corpus import (
     EncodedSample,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -283,10 +284,13 @@ def cmd_predict(cfg: RunConfig, checkpoints, out: str | None, dump_gates: bool) 
     models = _load_models(checkpoints)
     samples = read_dataset(cfg.paths.test)
     gates_path = out_path + ".gates" if dump_gates else None
+    start = time.perf_counter()
     records = predict_corpus(models, samples, code_vocab, sum_vocab, out_path,
                              dump_gates_path=gates_path)
+    seconds = time.perf_counter() - start
     suffix = f" (+ gate dump {gates_path})" if gates_path else ""
-    print(f"wrote {len(records)} predictions from {len(models)} model(s) to {out_path}{suffix}")
+    print(f"wrote {len(records)} predictions from {len(models)} model(s) to {out_path}{suffix} "
+          f"in {seconds:.2f} s ({len(records) / seconds:.1f} samples/s)")
 
 
 def cmd_evaluate(cfg: RunConfig, out: str | None) -> None:

@@ -19,6 +19,10 @@ GATE_SQUASHES = ("none", "sigmoid")
 
 Section = TypeVar("Section")
 
+# Declared type of a numeric section field -> the JSON values it accepts.
+_NUMBER_FIELDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                  "float | None": ((int, float, type(None)), "a number or null")}
+
 
 def canonical_json(obj) -> str:
     """Pretty canonical form used for config and report files."""
@@ -38,13 +42,19 @@ def parse_section(raw, label: str, cls: type[Section],
     `build(**raw)` makes and validates the section; by default it is
     `cls(**raw).validate()`. A TypeError or ValueError raised on the way (a
     value of the wrong type or length) becomes a ConfigError, like every
-    other defect of the file.
+    other defect of the file. First, an int field must hold an integer (no
+    float or boolean) and a float field a number.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"the {label} section must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
+    for f in fields(cls):
+        if f.name in raw and str(f.type) in _NUMBER_FIELDS:
+            kinds, wanted = _NUMBER_FIELDS[str(f.type)]
+            if isinstance(raw[f.name], bool) or not isinstance(raw[f.name], kinds):
+                raise ConfigError(f"invalid {label}: {f.name} must be {wanted}, got {raw[f.name]!r}")
     try:
         return build(**raw) if build else cls(**raw).validate()
     except (TypeError, ValueError) as exc:

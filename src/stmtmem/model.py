@@ -18,7 +18,7 @@ state ("summary_vector").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -261,6 +261,14 @@ class EncoderState:
     valid: np.ndarray | None = None     # [B, n] real-statement mask (smn)
     mem: Tensor | None = None           # [B, h, d] memory stack (constant_q)
     gates: np.ndarray | None = None     # [B, h, n] gate values (constant_q, when collected)
+
+    def select(self, rows: Sequence[int]) -> "EncoderState":
+        """The state of batch rows `rows` alone, copied out in that order."""
+        def pick(value):
+            if isinstance(value, Tensor):
+                return constant(value.data[rows])
+            return None if value is None else value[rows]
+        return EncoderState(*(pick(getattr(self, f.name)) for f in fields(self)))
 
 
 def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -105,8 +106,15 @@ class TestRunConfig:
         (lambda raw: {**raw, "split": {"ratios": 5}}, None),
         (lambda raw: {**raw, "synthetic": {"statement_range": [3]}}, None),
         (lambda raw: raw, [{"name": "x", "h": "3"}]),
+        (lambda raw: {**raw, "model": {"h": 2.5}}, None),
+        (lambda raw: {**raw, "model": {"batch": 2.5}}, None),
+        (lambda raw: {**raw, "model": {"q_fill": "x"}}, None),
+        (lambda raw: {**raw, "model": {"h": True}}, None),
+        (lambda raw: {**raw, "synthetic": {"projects": 2.5}}, None),
     ], ids=["top_level_list", "model_not_object", "model_value_type", "seed_not_int",
-            "ratios_not_list", "statement_range_short", "sweep_value_type"])
+            "ratios_not_list", "statement_range_short", "sweep_value_type",
+            "int_field_float", "batch_float", "float_field_string", "int_field_bool",
+            "synthetic_int_field_float"])
     def test_malformed_values_exit_1_with_one_line(self, tmp_path, capsys, edit, sweep):
         path = str(tmp_path / "run.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -172,12 +180,13 @@ class TestTrainPredictEvaluate:
             fields = line.split("\t")
             assert len(fields) == 4
 
-    def test_predict_then_rerun_identical(self, pipeline):
+    def test_predict_then_rerun_identical(self, pipeline, capsys):
         root, path = pipeline
         inputs_before = {name: (root / name).read_bytes()
                          for name in ("test.tsv", "code.vocab", "summary.vocab",
                                       "model.ckpt")}
         assert cli.main(["predict", "--config", path]) == 0
+        assert re.search(r" in \d+\.\d\d s \(\d+\.\d samples/s\)$", capsys.readouterr().out)
         first = (root / "model.preds").read_bytes()
         assert cli.main(["predict", "--config", path]) == 0
         assert (root / "model.preds").read_bytes() == first
@@ -296,6 +305,27 @@ class TestErrorContract:
         assert done.returncode == 1
         assert done.stderr.splitlines() == [done.stderr.strip()]
         assert missing in done.stderr and "Traceback" not in done.stderr
+
+
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def thread_vars_after_import(self, **overrides):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(overrides, PYTHONPATH=src)
+        code = ("import os, stmtmem; print(' '.join(os.environ[v] for v in "
+                f"{self.VARS!r}))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_import_defaults_to_one_thread(self):
+        assert self.thread_vars_after_import() == ["1", "1", "1"]
+
+    def test_user_setting_is_kept(self):
+        assert self.thread_vars_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
 
 
 class TestSeedOverride:

@@ -6,8 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from stmtmem import decoding
 from stmtmem.corpus import (
     BOS_ID,
+    EOS_ID,
     EncodedSample,
     RESERVED_TOKENS,
     Sample,
@@ -18,6 +20,7 @@ from stmtmem.corpus import (
 )
 from stmtmem.decoding import (
     LoadedModel,
+    _decode_lockstep,
     ensemble_distribution,
     greedy_decode,
     predict_corpus,
@@ -34,31 +37,53 @@ def vocab_of_size(v):
     return Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(v - 4)], max_size=v)
 
 
-def dummy_encoded(comlen=13):
-    return EncodedSample("s1", np.zeros(4, dtype=np.int64),
+def dummy_encoded(comlen=13, sample_id="s1"):
+    return EncodedSample(sample_id, np.zeros(4, dtype=np.int64),
                          StatementMatrix(np.zeros((2, 3), dtype=np.int64), 0,
                                          np.zeros(2, dtype=np.int64)),
                          np.zeros(comlen, dtype=np.int64))
 
 
+class StubState:
+    """The encoder state of a stub batch: the sample ids of its rows."""
+
+    def __init__(self, ids):
+        self.ids = list(ids)
+
+    def select(self, rows):
+        return StubState(self.ids[r] for r in rows)
+
+
 class StubModel:
-    """Fixed per-step distributions; counts encodes and per-step head calls."""
+    """Fixed per-step distributions, the same for every sample or, given a
+    dict, per sample id; counts encodes and head calls and records each
+    head call's batch size."""
 
     def __init__(self, dists, v=8, comlen=13):
-        self.dists = [np.asarray(d, dtype=np.float64) for d in dists]
+        if not isinstance(dists, dict):
+            dists = {None: dists}
+        self.dists = {k: [np.asarray(d, dtype=np.float64) for d in ds] for k, ds in dists.items()}
         self.config = SimpleNamespace(summary_vocab_size=v, comlen=comlen)
         self.encodes = 0
+        self.encoded_ids = set()
         self.calls = 0
+        self.batches = []
 
     def encode(self, encoded, collect_trace=False):
         self.encodes += 1
-        return ("state", encoded.sample_id)
+        self.encoded_ids.update(e.sample_id for e in encoded)
+        return StubState(e.sample_id for e in encoded)
 
-    def next_dist(self, state, prefix, collect_trace=False):
-        assert state == ("state", "s1")
+    def next_dist(self, state, prefixes, collect_trace=False):
+        assert len(state.ids) == len(prefixes)
+        assert set(state.ids) <= self.encoded_ids      # a state this model encoded
         self.calls += 1
-        step = min(len(prefix) - 1, len(self.dists) - 1)
-        return self.dists[step], None
+        self.batches.append(len(prefixes))
+        rows = []
+        for sample_id, prefix in zip(state.ids, prefixes):
+            steps = self.dists.get(sample_id, self.dists.get(None))
+            rows.append(steps[min(len(prefix) - 1, len(steps) - 1)])
+        return np.stack(rows), None
 
 
 def one_hot(v, hot):
@@ -253,10 +278,11 @@ class TestEncodeOnce:
         cfg = model.config
         for sample in samples:
             enc = encode_sample(sample, cv, sv, cfg)
-            state = model.encode(enc, collect_trace=True)
+            state = model.encode([enc], collect_trace=True)
             prefix = [BOS_ID]
             for _ in range(cfg.comlen - 1):
-                got, got_trace = model.next_dist(state, prefix, collect_trace=True)
+                dists, traces = model.next_dist(state, [prefix], collect_trace=True)
+                got, got_trace = dists[0], traces[0] if traces else None
                 row = prefix_row(prefix, cfg.comlen)
                 want = forward(replace(enc, summary_ids=row), model.params, cfg,
                                collect_trace=True)
@@ -273,15 +299,15 @@ class TestEncodeOnce:
         for model in models:
             enc = encode_sample(samples[0], cv, sv, model.config)
             got, _ = model.predict_dist(enc, [BOS_ID, 5])
-            want, _ = model.next_dist(model.encode(enc), [BOS_ID, 5])
-            assert got.tobytes() == want.tobytes()
+            want, _ = model.next_dist(model.encode([enc]), [[BOS_ID, 5]])
+            assert got.tobytes() == want[0].tobytes()
 
     def test_overlong_prefix_rejected(self):
         models, samples, cv, sv = mixed_members()
         model = models[0]
-        state = model.encode(encode_sample(samples[0], cv, sv, model.config))
+        state = model.encode([encode_sample(samples[0], cv, sv, model.config)])
         with pytest.raises(UsageError, match="exceeds comlen"):
-            model.next_dist(state, [BOS_ID] * (model.config.comlen + 1))
+            model.next_dist(state, [[BOS_ID] * (model.config.comlen + 1)])
 
     @pytest.mark.parametrize("first", [0, 1], ids=["constant_q-first", "summary_vector-first"])
     def test_gate_dump_is_first_step_first_member_forward_trace(self, tmp_path, first):
@@ -301,3 +327,81 @@ class TestEncodeOnce:
                 values = " ".join(f"{v:.6f}" for v in gates)
                 expected.append(f"{sample.sample_id}\t{hop}\t{values}")
         assert open(gates_path, encoding="utf-8").read().splitlines() == expected
+
+
+def stopping_members():
+    """mixed_members() with each member's </s> bias raised so that its rows,
+    alone and in ensembles, stop at different steps."""
+    models, samples, cv, sv = mixed_members()
+    for model, bias in zip(models, (0.03, 0.015, 0.012)):
+        model.params["out.b"].data[EOS_ID] += bias
+    return models, samples, cv, sv
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("members", [[0], [1], [2], [0, 1, 2], [2, 1, 0]],
+                             ids=["positional", "eos-summary_vector", "attendgru_only",
+                                  "ensemble", "ensemble-reversed"])
+    def test_chunk_file_equals_per_sample_greedy_decode(self, tmp_path, members):
+        models, samples, cv, sv = stopping_members()
+        chosen = [models[i] for i in members]
+        chunk, single = str(tmp_path / "chunk.preds"), str(tmp_path / "single.preds")
+        records = predict_corpus(chosen, samples, cv, sv, chunk)
+        assert len({len(r.tokens) for r in records}) > 1    # rows leave at different steps
+        write_predictions(single, [
+            greedy_decode(chosen, [encode_sample(s, cv, sv, m.config) for m in chosen], sv)[0]
+            for s in samples])
+        assert open(chunk, "rb").read() == open(single, "rb").read()
+
+    def test_every_lockstep_row_is_within_1e9_of_predict_dist(self, tmp_path):
+        models, samples, cv, sv = stopping_members()
+        records = predict_corpus(models, samples, cv, sv, str(tmp_path / "p.preds"))
+        prefixes = [[BOS_ID] + [sv.token_to_id[t] for t in r.tokens] for r in records]
+        for model in models:
+            encs = [encode_sample(s, cv, sv, model.config) for s in samples]
+            state = model.encode(encs)
+            for step in range(model.config.comlen - 1):
+                live = [i for i, r in enumerate(records) if len(r.tokens) >= step]
+                if not live:
+                    break
+                dists, _ = model.next_dist(state.select(live),
+                                           [prefixes[i][:step + 1] for i in live])
+                for row, i in enumerate(live):
+                    want, _ = model.predict_dist(encs[i], prefixes[i][:step + 1])
+                    assert np.abs(dists[row] - want).max() <= 1e-9
+
+    def test_finished_rows_leave_the_head_batch(self):
+        steps = {"s1": [one_hot(8, 2)],
+                 "s2": [one_hot(8, 5), one_hot(8, 2)],
+                 "s3": [one_hot(8, 5), one_hot(8, 6), one_hot(8, 2)]}
+        a, b = StubModel(steps), StubModel(steps)
+        encs = [dummy_encoded(sample_id=i) for i in ("s3", "s1", "s2")]
+        tokens, traces = _decode_lockstep([a, b], [encs, encs], vocab_of_size(8), False)
+        assert tokens == [["w1", "w2"], [], ["w1"]]
+        assert traces == [None] * 3
+        assert a.batches == b.batches == [3, 2, 1]
+        assert a.encodes == b.encodes == 1
+
+    def test_chunks_of_two_give_the_one_chunk_file(self, tmp_path, monkeypatch):
+        models, samples, cv, sv = stopping_members()
+        whole, chunked = str(tmp_path / "whole.preds"), str(tmp_path / "chunked.preds")
+        predict_corpus(models, samples, cv, sv, whole, dump_gates_path=whole + ".gates")
+        encode, batches = LoadedModel.encode, []
+
+        def counting_encode(self, encoded, collect_trace=False):
+            batches.append(len(encoded))
+            return encode(self, encoded, collect_trace)
+
+        monkeypatch.setattr(decoding, "CHUNK_SAMPLES", 2)
+        monkeypatch.setattr(LoadedModel, "encode", counting_encode)
+        predict_corpus(models, samples, cv, sv, chunked, dump_gates_path=chunked + ".gates")
+        assert batches == [2, 2, 2, 2, 2, 2, 1, 1, 1]     # one encode per member per chunk
+        assert open(chunked, "rb").read() == open(whole, "rb").read()
+        assert open(chunked + ".gates", "rb").read() == open(whole + ".gates", "rb").read()
+
+    def test_empty_split_writes_an_empty_file(self, tmp_path):
+        models, _, cv, sv = mixed_members()
+        path = str(tmp_path / "p.preds")
+        assert predict_corpus(models, [], cv, sv, path, dump_gates_path=path + ".gates") == []
+        assert open(path, "rb").read() == b""
+        assert open(path + ".gates", "rb").read() == b""
