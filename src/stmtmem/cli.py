@@ -28,6 +28,7 @@ from .corpus import (
     read_dataset,
     split_by_project,
     write_dataset,
+    write_text,
 )
 from .decoding import LoadedModel, predict_corpus, read_predictions
 from .errors import ConfigError, DataError, StmtMemError, UsageError, VerificationError
@@ -40,6 +41,7 @@ from .training import format_training_log, select_best, train
 from . import verify
 
 GRADCHECK_PARAM_LIMIT = 100_000
+OUT_OF_SCOPE = "n/a (out of scope)"       # the paper's USE metric column
 
 DEFAULT_ABLATION_SWEEP = [
     {"name": "baseline"},
@@ -118,6 +120,10 @@ class RunConfig:
     seed: int = 13
     max_epochs: int = 30
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         def build(model={}, paths={}, split={}, synthetic=None, seed=13, max_epochs=30):
@@ -144,14 +150,18 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config"))
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in file `path`; `what` names the file in the error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _require_paths(cfg: RunConfig, command: str, *names: str) -> None:
@@ -172,14 +182,6 @@ def _effective_model(cfg: RunConfig, code_vocab: Vocabulary,
                    summary_vocab_size=len(sum_vocab), rng_seed=cfg.seed).validate()
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-
-
 def _fmt(value, spec: str = "{:.4f}") -> str:
     if value is None:
         return "-"
@@ -194,7 +196,7 @@ def _metric_table(rows) -> str:
     lines = [header]
     for name, meteor_v, bleu_v, t, p in rows:
         lines.append(
-            f"{name:<30} {_fmt(meteor_v):>8} {'n/a (out of scope)':>20} "
+            f"{name:<30} {_fmt(meteor_v):>8} {OUT_OF_SCOPE:>20} "
             f"{_fmt(bleu_v, '{:.2f}'):>8} {_fmt(t, '{:.3f}'):>9} {_fmt(p, '{:.4f}'):>9}"
         )
     return "\n".join(lines)
@@ -202,6 +204,8 @@ def _metric_table(rows) -> str:
 
 def _references(cfg: RunConfig) -> tuple[list[Sample], dict[str, list[str]]]:
     samples = read_dataset(cfg.paths.test)
+    if not samples:
+        raise DataError(f"test split {cfg.paths.test} holds no samples")
     return samples, {s.sample_id: s.summary_tokens for s in samples}
 
 
@@ -243,23 +247,24 @@ def cmd_prepare(cfg: RunConfig) -> None:
           f"code vocab {len(code_vocab)}, summary vocab {len(sum_vocab)}")
 
 
-def _train_one(cfg: RunConfig, model_cfg: ModelConfig, code_vocab: Vocabulary,
-               sum_vocab: Vocabulary):
-    train_raw = read_dataset(cfg.paths.train)
-    val_raw = read_dataset(cfg.paths.val)
+def _train_one(train_raw: list[Sample], val_raw: list[Sample], model_cfg: ModelConfig,
+               code_vocab: Vocabulary, sum_vocab: Vocabulary, max_epochs: int):
+    """Train on the samples encoded for `model_cfg`, whose tdatlen, n and y
+    set the encoding."""
     enc_train = [encode_sample(s, code_vocab, sum_vocab, model_cfg) for s in train_raw]
     enc_val = [encode_sample(s, code_vocab, sum_vocab, model_cfg) for s in val_raw]
-    return train(enc_train, enc_val, model_cfg, cfg.max_epochs)
+    return train(enc_train, enc_val, model_cfg, max_epochs)
 
 
 def cmd_train(cfg: RunConfig) -> None:
     _require_paths(cfg, "train", "train", "val", "code_vocab", "summary_vocab", "checkpoint")
     code_vocab, sum_vocab = _load_vocabs(cfg)
     model_cfg = _effective_model(cfg, code_vocab, sum_vocab)
-    best, reports = _train_one(cfg, model_cfg, code_vocab, sum_vocab)
+    best, reports = _train_one(read_dataset(cfg.paths.train), read_dataset(cfg.paths.val),
+                               model_cfg, code_vocab, sum_vocab, cfg.max_epochs)
     save_checkpoint(cfg.paths.checkpoint, model_cfg, best)
     log_path = cfg.paths.log or cfg.paths.checkpoint + ".log"
-    _write_text(log_path, format_training_log(reports))
+    write_text(log_path, format_training_log(reports), "training log")
     best_epoch = reports[select_best(reports)]
     print(f"trained {len(reports)} epochs; kept epoch {best_epoch.epoch} "
           f"(val acc {best_epoch.val_accuracy:.4f}, val loss {best_epoch.val_loss:.4f}) "
@@ -293,6 +298,18 @@ def cmd_predict(cfg: RunConfig, checkpoints, out: str | None, dump_gates: bool) 
           f"in {seconds:.2f} s ({len(records) / seconds:.1f} samples/s)")
 
 
+def _write_report(path: str, text: str, data: dict) -> None:
+    """Write the text report and its canonical-JSON companion, and print the text."""
+    write_text(path, text, "report")
+    write_text(path + ".json", canonical_json(data), "report")
+    print(text, end="")
+
+
+def format_evaluation(data: dict) -> str:
+    """The `evaluate` report, rendered from its JSON companion."""
+    return _metric_table([(data["system"], data["meteor"], data["bleu"], None, None)]) + "\n"
+
+
 def cmd_evaluate(cfg: RunConfig, out: str | None) -> None:
     _require_paths(cfg, "evaluate", "test", "predictions")
     report_path = out or cfg.paths.report
@@ -301,16 +318,51 @@ def cmd_evaluate(cfg: RunConfig, out: str | None) -> None:
     _, refs = _references(cfg)
     name = cfg.paths.predictions.rsplit("/", 1)[-1]
     scored = _score(refs, read_predictions(cfg.paths.predictions), name)
-    text = _metric_table([(name, scored.mean_meteor, scored.corpus_bleu, None, None)]) + "\n"
-    _write_text(report_path, text)
-    _write_text(report_path + ".json", canonical_json({
+    data = {
         "system": name,
         "meteor": scored.mean_meteor,
-        "use": "n/a (out of scope)",
+        "use": OUT_OF_SCOPE,
         "bleu": scored.corpus_bleu,
         "samples": len(scored.entries),
-    }))
-    print(text, end="")
+    }
+    _write_report(report_path, format_evaluation(data), data)
+
+
+def format_analysis(data: dict, samples: int) -> str:
+    """The `analyze` report of `samples` test samples, rendered from its
+    JSON companion."""
+    name_a, name_b = data["system_a"], data["system_b"]
+    overall, partition = data["overall"], data["difference_set"]
+    same = partition["scores"]["same"]["a"]
+    diff = {key: entry or {"mean_meteor": None, "bleu": None}
+            for key, entry in partition["scores"]["difference"].items()}
+    diff_t = partition["ttest"] or {"t": None, "p": None}
+    lines = [
+        "== overall ==",
+        _metric_table([
+            (name_a, overall["a"]["meteor"], overall["a"]["bleu"], None, None),
+            (name_b, overall["b"]["meteor"], overall["b"]["bleu"],
+             overall["ttest"]["t"], overall["ttest"]["p"]),
+        ]),
+        "(t/p: paired t-test on per-sample METEOR, A vs B, shown on the B row)",
+        "",
+        "== difference set ==",
+        f"size: {partition['pct']:.2f}% ({len(partition['ids'])} of {samples})",
+        f"same set: METEOR {same['mean_meteor']:.4f}  BLEU {same['bleu']:.2f}" if same
+        else "same set: empty",
+        _metric_table([
+            (name_a, diff["a"]["mean_meteor"], diff["a"]["bleu"], None, None),
+            (name_b, diff["b"]["mean_meteor"], diff["b"]["bleu"], diff_t["t"], diff_t["p"]),
+        ]),
+        "",
+    ]
+    for key, winner, loser in (("improved_set_a_over_b", name_a, name_b),
+                               ("improved_set_b_over_a", name_b, name_a)):
+        improved = data[key]
+        lines += [f"== improved set ({winner} over {loser}) ==",
+                  f"size: {improved['pct']:.2f}%  mean METEOR "
+                  f"{_fmt(improved['mean_a'])} vs {_fmt(improved['mean_b'])}"]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str | None) -> None:
@@ -331,48 +383,7 @@ def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str |
     overall_t = paired_t_test([met_a[sid] for sid in sorted(refs)],
                               [met_b[sid] for sid in sorted(refs)])
     partition = difference_set(preds_a, preds_b, refs)
-    improved_ab = improved_set(met_a, met_b)
-    improved_ba = improved_set(met_b, met_a)
-
-    lines = ["== overall =="]
-    lines.append(_metric_table([
-        (name_a, scored_a.mean_meteor, scored_a.corpus_bleu, None, None),
-        (name_b, scored_b.mean_meteor, scored_b.corpus_bleu, overall_t.t, overall_t.p),
-    ]))
-    lines.append("(t/p: paired t-test on per-sample METEOR, A vs B, shown on the B row)")
-    lines.append("")
-    lines.append("== difference set ==")
-    lines.append(f"size: {partition.difference_pct:.2f}% "
-                 f"({len(partition.difference_ids)} of "
-                 f"{len(partition.difference_ids) + len(partition.same_ids)})")
-    same = partition.scores["same"]["a"]
-    if same is not None:
-        lines.append(f"same set: METEOR {same['mean_meteor']:.4f}  BLEU {same['bleu']:.2f}")
-    else:
-        lines.append("same set: empty")
-    diff_rows = []
-    for name, key in ((name_a, "a"), (name_b, "b")):
-        entry = partition.scores["difference"][key]
-        tstat = partition.ttest_difference
-        show_t = tstat if key == "b" and tstat is not None else None
-        diff_rows.append((
-            name,
-            entry["mean_meteor"] if entry else None,
-            entry["bleu"] if entry else None,
-            show_t.t if show_t else None,
-            show_t.p if show_t else None,
-        ))
-    lines.append(_metric_table(diff_rows))
-    lines.append("")
-    lines.append(f"== improved set ({name_a} over {name_b}) ==")
-    lines.append(f"size: {improved_ab.size_pct:.2f}%  "
-                 f"mean METEOR {_fmt(improved_ab.mean_a)} vs {_fmt(improved_ab.mean_b)}")
-    lines.append(f"== improved set ({name_b} over {name_a}) ==")
-    lines.append(f"size: {improved_ba.size_pct:.2f}%  "
-                 f"mean METEOR {_fmt(improved_ba.mean_a)} vs {_fmt(improved_ba.mean_b)}")
-    text = "\n".join(lines) + "\n"
-    _write_text(report_path, text)
-    _write_text(report_path + ".json", canonical_json({
+    data = {
         "system_a": name_a,
         "system_b": name_b,
         "overall": {
@@ -387,31 +398,33 @@ def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str |
             "ttest": ({"t": partition.ttest_difference.t, "p": partition.ttest_difference.p}
                       if partition.ttest_difference else None),
         },
-        "improved_set_a_over_b": {
-            "pct": improved_ab.size_pct, "ids": improved_ab.ids,
-            "mean_a": improved_ab.mean_a, "mean_b": improved_ab.mean_b,
-        },
-        "improved_set_b_over_a": {
-            "pct": improved_ba.size_pct, "ids": improved_ba.ids,
-            "mean_a": improved_ba.mean_a, "mean_b": improved_ba.mean_b,
-        },
-    }))
-    print(text, end="")
+    }
+    for key, (first, second) in (("improved_set_a_over_b", (met_a, met_b)),
+                                 ("improved_set_b_over_a", (met_b, met_a))):
+        improved = improved_set(first, second)
+        data[key] = {"pct": improved.size_pct, "ids": improved.ids,
+                     "mean_a": improved.mean_a, "mean_b": improved.mean_b}
+    _write_report(report_path, format_analysis(data, len(refs)), data)
 
 
 def _load_sweep(path: str | None) -> list[dict]:
     if path is None:
         return [dict(entry) for entry in DEFAULT_ABLATION_SWEEP]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            sweep = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sweep {path} is not valid JSON: {exc}") from exc
+    sweep = _read_json(path, "sweep")
     if not isinstance(sweep, list) or not all(isinstance(e, dict) and "name" in e for e in sweep):
         raise ConfigError(f"sweep {path} must be a JSON list of objects with a 'name' key")
     return sweep
+
+
+def format_ablation(data: dict) -> str:
+    """The `ablate` report, rendered from its JSON companion."""
+    text = (_metric_table([(r["name"], r["meteor"], r["bleu"], r["t"], r["p"])
+                           for r in data["rows"]])
+            + "\n(t/p: paired t-test on per-sample METEOR vs the baseline row)\n")
+    bad = [r["name"] for r in data["rows"] if not r["finite"]]
+    if bad:
+        text += f"WARNING: non-finite values in: {', '.join(bad)}\n"
+    return text
 
 
 def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
@@ -425,8 +438,7 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
     sweep = _load_sweep(sweep_path)
     code_vocab, sum_vocab = _load_vocabs(cfg)
     base_cfg = _effective_model(cfg, code_vocab, sum_vocab)
-    samples = read_dataset(cfg.paths.test)
-    refs = {s.sample_id: s.summary_tokens for s in samples}
+    samples, refs = _references(cfg)
 
     configs: list[tuple[str, ModelConfig]] = []
     for entry in sweep:
@@ -438,59 +450,36 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
         configs.insert(0, ("baseline", base_cfg))
     baseline_index = next(i for i, (_, mc) in enumerate(configs) if mc == base_cfg)
 
-    results = []
+    train_raw, val_raw = read_dataset(cfg.paths.train), read_dataset(cfg.paths.val)
+    rows, per_sample = [], []
     for name, model_cfg in configs:
-        best, reports = _train_one(cfg, model_cfg, code_vocab, sum_vocab)
+        best, reports = _train_one(train_raw, val_raw, model_cfg, code_vocab, sum_vocab,
+                                   cfg.max_epochs)
         ckpt_path = f"{cfg.paths.checkpoint}.{name}"
         save_checkpoint(ckpt_path, model_cfg, best)
         pred_path = f"{ckpt_path}.preds"
         predict_corpus([LoadedModel(best, model_cfg)], samples, code_vocab, sum_vocab, pred_path)
         scored = _score(refs, read_predictions(pred_path), pred_path)
-        results.append({
+        per_sample.append(scored.meteor_by_id())
+        rows.append({
             "name": name,
-            "config": model_cfg,
             "meteor": scored.mean_meteor,
+            "use": OUT_OF_SCOPE,
             "bleu": scored.corpus_bleu,
-            "per_sample_meteor": scored.meteor_by_id(),
             "parameters": parameter_count(model_cfg),
-            "finite": best.all_finite() and np.isfinite(scored.mean_meteor),
+            "finite": bool(best.all_finite() and np.isfinite(scored.mean_meteor)),
             "epochs": len(reports),
         })
         print(f"ablate: {name} done (METEOR {scored.mean_meteor:.4f}, "
               f"BLEU {scored.corpus_bleu:.2f})")
 
-    base_scores = results[baseline_index]["per_sample_meteor"]
-    rows = []
-    for i, r in enumerate(results):
-        if i == baseline_index:
-            t = p = None
-        else:
-            keys = sorted(base_scores)
-            tt = paired_t_test([r["per_sample_meteor"][k] for k in keys],
-                               [base_scores[k] for k in keys])
-            t, p = tt.t, tt.p
-        rows.append((r["name"], r["meteor"], r["bleu"], t, p))
-    text = (_metric_table(rows)
-            + "\n(t/p: paired t-test on per-sample METEOR vs the baseline row)\n")
-    bad = [r["name"] for r in results if not r["finite"]]
-    if bad:
-        text += f"WARNING: non-finite values in: {', '.join(bad)}\n"
-    _write_text(report_path, text)
-    _write_text(report_path + ".json", canonical_json({
-        "baseline": results[baseline_index]["name"],
-        "rows": [{
-            "name": r["name"],
-            "meteor": r["meteor"],
-            "use": "n/a (out of scope)",
-            "bleu": r["bleu"],
-            "parameters": r["parameters"],
-            "finite": bool(r["finite"]),
-            "epochs": r["epochs"],
-            "t": rows[i][3],
-            "p": rows[i][4],
-        } for i, r in enumerate(results)],
-    }))
-    print(text, end="")
+    keys = sorted(per_sample[baseline_index])
+    for i, (row, scores) in enumerate(zip(rows, per_sample)):
+        tt = None if i == baseline_index else paired_t_test(
+            [scores[k] for k in keys], [per_sample[baseline_index][k] for k in keys])
+        row["t"], row["p"] = (tt.t, tt.p) if tt else (None, None)
+    data = {"baseline": rows[baseline_index]["name"], "rows": rows}
+    _write_report(report_path, format_ablation(data), data)
 
 
 def cmd_gradcheck(cfg: RunConfig) -> None:
@@ -507,7 +496,7 @@ def cmd_gradcheck(cfg: RunConfig) -> None:
     report = verify.format_report(results)
     print(report, end="")
     if cfg.paths.report:
-        _write_text(cfg.paths.report, report)
+        write_text(cfg.paths.report, report, "report")
     verify.require_all_passed(results)
 
 

@@ -7,6 +7,7 @@ produce the same values produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, TypeVar
 
@@ -34,6 +35,14 @@ def canonical_json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _finite(value) -> bool:
+    """False for a NaN or infinite number, also inside a list; Python's JSON
+    reader accepts NaN and Infinity."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, (list, tuple)) or all(_finite(v) for v in value)
+
+
 def parse_section(raw, label: str, cls: type[Section],
                   build: Callable[..., Section] | None = None) -> Section:
     """Build the config section `cls` from its JSON value `raw`, an object
@@ -42,14 +51,18 @@ def parse_section(raw, label: str, cls: type[Section],
     `build(**raw)` makes and validates the section; by default it is
     `cls(**raw).validate()`. A TypeError or ValueError raised on the way (a
     value of the wrong type or length) becomes a ConfigError, like every
-    other defect of the file. First, an int field must hold an integer (no
-    float or boolean) and a float field a number.
+    other defect of the file. First, no value may be a NaN or infinite
+    number, an int field must hold an integer (no float or boolean) and a
+    float field a number.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"the {label} section must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
+    for name, value in raw.items():
+        if not _finite(value):
+            raise ConfigError(f"invalid {label}: {name} must be finite, got {value!r}")
     for f in fields(cls):
         if f.name in raw and str(f.type) in _NUMBER_FIELDS:
             kinds, wanted = _NUMBER_FIELDS[str(f.type)]

@@ -50,7 +50,9 @@ class Vocabulary:
         self.max_size = int(max_size)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise UsageError("vocabulary contains duplicate tokens")
+            duplicate = next(tok for i, tok in enumerate(self.id_to_token)
+                             if self.token_to_id[tok] != i)
+            raise UsageError(f"vocabulary contains duplicate token {duplicate!r}")
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -67,25 +69,17 @@ class Vocabulary:
         return self.id_to_token[token_id]
 
     def save(self, path: str) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                for token in self.id_to_token:
-                    fh.write(token + "\n")
-        except OSError as exc:
-            raise DataError(f"cannot write vocabulary to {path}: {exc}") from exc
+        write_text(path, "".join(token + "\n" for token in self.id_to_token), "vocabulary")
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                tokens = fh.read().split("\n")
-        except OSError as exc:
-            raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
+        tokens = read_text(path, "vocabulary").split("\n")
         if tokens and tokens[-1] == "":
             tokens.pop()
-        if len(tokens) < 4:
-            raise DataError(f"vocabulary {path} is missing the reserved tokens")
-        return cls(tokens, max_size=len(tokens))
+        try:
+            return cls(tokens, max_size=len(tokens))
+        except UsageError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_vocab(samples: Sequence[Sample], max_size: int, field: str) -> Vocabulary:
@@ -218,31 +212,51 @@ def filter_by_length(samples: Sequence[Sample], min_statements: int) -> list[Sam
     return [s for s in samples if len(split_statement_tokens(s.code_tokens)) >= min_statements]
 
 
-def write_dataset(path: str, samples: Iterable[Sample]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for s in samples:
-                fh.write(
-                    f"{s.sample_id}\t{s.project_id}\t{' '.join(s.code_tokens)}\t{' '.join(s.summary_tokens)}\n"
-                )
-    except OSError as exc:
-        raise DataError(f"cannot write dataset to {path}: {exc}") from exc
-
-
-def read_dataset(path: str) -> list[Sample]:
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of file `path`; `what` names the file in the error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path: str, text: str, what: str) -> None:
+    """Write `text` to file `path` as UTF-8; `what` names the file in the error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    samples = []
-    for lineno, line in enumerate(lines, start=1):
+        raise DataError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def write_dataset(path: str, samples: Iterable[Sample]) -> None:
+    write_text(path, "".join(
+        f"{s.sample_id}\t{s.project_id}\t{' '.join(s.code_tokens)}\t{' '.join(s.summary_tokens)}\n"
+        for s in samples), "dataset")
+
+
+def read_records(path: str, what: str, width: int):
+    """(line number, fields) of each non-empty line of a text file whose
+    lines hold `width` tab-separated fields, the first a sample id. A line
+    of another width or a repeated id is a DataError that names the line."""
+    seen: set[str] = set()
+    for lineno, line in enumerate(read_text(path, what).split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-        sample_id, project_id, code, summary = parts
+        if len(parts) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} tab-separated fields, "
+                            f"got {len(parts)}")
+        if parts[0] in seen:
+            raise DataError(f"{path}:{lineno}: duplicate sample id {parts[0]!r}")
+        seen.add(parts[0])
+        yield lineno, parts
+
+
+def read_dataset(path: str) -> list[Sample]:
+    samples = []
+    for lineno, (sample_id, project_id, code, summary) in read_records(path, "dataset", 4):
         try:
             samples.append(Sample(sample_id, project_id, code.split(), summary.split()))
         except UsageError as exc:

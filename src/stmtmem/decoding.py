@@ -32,8 +32,10 @@ from .corpus import (
     UNK_ID,
     Vocabulary,
     encode_sample,
+    read_records,
+    write_text,
 )
-from .errors import DataError, DimensionError, UsageError
+from .errors import DimensionError, UsageError
 from .model import EncoderState, MemoryTrace, batch_inputs, encode, head, prefix_row
 # Not called: benchmarks/tracing.py hooks this name to count the full
 # forwards decoding makes, which is none since it encodes once per sample.
@@ -213,36 +215,15 @@ def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
                     gate_lines.append(f"{sample.sample_id}\t{hop}\t{values}")
     write_predictions(out_path, records)
     if dump_gates_path is not None:
-        try:
-            with open(dump_gates_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(gate_lines) + ("\n" if gate_lines else ""))
-        except OSError as exc:
-            raise DataError(f"cannot write gate dump to {dump_gates_path}: {exc}") from exc
+        write_text(dump_gates_path, "".join(line + "\n" for line in gate_lines), "gate dump")
     return records
 
 
 def write_predictions(path: str, records) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(f"{r.sample_id}\t{' '.join(r.tokens)}\n")
-    except OSError as exc:
-        raise DataError(f"cannot write predictions to {path}: {exc}") from exc
+    write_text(path, "".join(f"{r.sample_id}\t{' '.join(r.tokens)}\n" for r in records),
+               "predictions")
 
 
 def read_predictions(path: str) -> dict[str, list[str]]:
     """Parse a prediction file into sample_id -> tokens, preserving order."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read predictions {path}: {exc}") from exc
-    out: dict[str, list[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
-        out[parts[0]] = parts[1].split()
-    return out
+    return {sid: tokens.split() for _, (sid, tokens) in read_records(path, "predictions", 2)}

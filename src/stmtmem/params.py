@@ -44,9 +44,6 @@ class ParameterSet:
     def items(self) -> list[tuple[str, Tensor]]:
         return [(name, self._params[name]) for name in self.names()]
 
-    def total_count(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None

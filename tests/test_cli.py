@@ -48,6 +48,14 @@ def base_config_dict(root):
     }
 
 
+def assert_renders(report: str, render, *args) -> None:
+    """The text report is its JSON companion rendered by `render`, byte for byte."""
+    with open(report + ".json", encoding="utf-8") as fh:
+        data = json.load(fh)
+    with open(report, "rb") as fh:
+        assert render(data, *args).encode("utf-8") == fh.read()
+
+
 def write_config(tmp_path, overrides=None) -> str:
     raw = base_config_dict(str(tmp_path))
     if overrides:
@@ -231,6 +239,7 @@ class TestTrainPredictEvaluate:
         assert report["meteor"] > 0.98
         text = (root / "perfect.report").read_text()
         assert "n/a (out of scope)" in text
+        assert_renders(str(root / "perfect.report"), cli.format_evaluation)
 
     def test_evaluate_model_predictions(self, pipeline):
         root, path = pipeline
@@ -239,6 +248,7 @@ class TestTrainPredictEvaluate:
         report = json.loads((root / "report.txt.json").read_text())
         assert 0.0 <= report["meteor"] <= 1.0
         assert 0.0 <= report["bleu"] <= 100.0
+        assert_renders(str(root / "report.txt"), cli.format_evaluation)
 
     def test_analyze_self_is_all_same_set(self, pipeline):
         root, path = pipeline
@@ -251,6 +261,21 @@ class TestTrainPredictEvaluate:
         assert report["improved_set_a_over_b"]["pct"] == 0.0
         assert report["overall"]["ttest"]["t"] == 0.0
         assert report["overall"]["ttest"]["p"] == 1.0
+        assert_renders(out, cli.format_analysis, len(read_dataset(str(root / "test.tsv"))))
+
+    def test_analyze_two_systems_report_renders_from_json(self, pipeline):
+        root, path = pipeline
+        assert cli.main(["predict", "--config", path]) == 0
+        perfect = str(root / "perfect_b.preds")
+        refs = read_dataset(str(root / "test.tsv"))
+        write_predictions(perfect, [PredictionRecord(s.sample_id, list(s.summary_tokens))
+                                    for s in refs])
+        out = str(root / "two.analysis")
+        assert cli.main(["analyze", "--config", path, str(root / "model.preds"), perfect,
+                         "--out", out]) == 0
+        report = json.loads((root / "two.analysis.json").read_text())
+        assert report["difference_set"]["pct"] > 0.0
+        assert_renders(out, cli.format_analysis, len(refs))
 
     def test_analyze_missing_prediction_is_data_error(self, pipeline, capsys):
         root, path = pipeline
@@ -267,7 +292,82 @@ class TestTrainPredictEvaluate:
         assert "Traceback" not in err
 
 
+def edit_config(root, edit) -> None:
+    """Rewrite run.json with `edit(raw)`; NaN and Infinity are written as
+    Python's JSON writer spells them."""
+    raw = base_config_dict(str(root))
+    edit(raw)
+    (root / "run.json").write_text(json.dumps(raw), encoding="utf-8")
+
+
+def write_perfect_predictions(root) -> None:
+    refs = read_dataset(str(root / "test.tsv"))
+    write_predictions(str(root / "model.preds"),
+                      [PredictionRecord(s.sample_id, s.summary_tokens) for s in refs])
+
+
+def corrupt_bytes(path, old: bytes, new: bytes) -> None:
+    blob = path.read_bytes()
+    assert old in blob
+    path.write_bytes(blob.replace(old, new, 1))
+
+
+def duplicate_first_line(path) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + b"".join(lines))
+
+
+def set_model(**values):
+    return lambda raw: raw["model"].update(values)
+
+
+# (exit code, text the message holds, command, mutation of the prepared run)
+CORRUPT_INPUTS = {
+    "config_non_utf8": (1, "utf-8", "prepare", lambda root: corrupt_bytes(
+        root / "run.json", b"report.txt", b"report\xff.txt")),
+    "grad_clip_nan": (1, "grad_clip must be finite", "train",
+                      lambda root: edit_config(root, set_model(grad_clip=float("nan")))),
+    "q_fill_infinity": (1, "q_fill must be finite", "train",
+                        lambda root: edit_config(root, set_model(q_fill=float("inf")))),
+    "ratio_nan": (1, "ratios must be finite", "prepare", lambda root: edit_config(
+        root, lambda raw: raw["split"].update(ratios=[float("nan"), 0.5, 0.5]))),
+    "seed_negative": (1, "seed must be >= 0", "prepare",
+                      lambda root: edit_config(root, lambda raw: raw.update(seed=-1))),
+    "seed_flag_negative": (1, "seed must be >= 0", "prepare --seed -1", lambda root: None),
+    "dataset_non_utf8": (2, "dataset", "prepare", lambda root: (
+        edit_config(root, lambda raw: raw.update(synthetic=None)),
+        corrupt_bytes(root / "corpus.tsv", b"\t", b"\xff\t"))),
+    "vocabulary_non_utf8": (2, "summary.vocab", "train", lambda root: corrupt_bytes(
+        root / "summary.vocab", b"</s>\n", b"</s>\n\xff\n")),
+    "predictions_non_utf8": (2, "model.preds", "evaluate", lambda root: (
+        write_perfect_predictions(root),
+        corrupt_bytes(root / "model.preds", b"\t", b"\xff\t"))),
+    "vocabulary_duplicate_token": (2, "duplicate token '<UNK>'", "train", lambda root: (
+        corrupt_bytes(root / "code.vocab", b"<UNK>\n", b"<UNK>\n<UNK>\n"))),
+    "test_duplicate_id": (2, "test.tsv:2: duplicate sample id", "evaluate", lambda root: (
+        write_perfect_predictions(root), duplicate_first_line(root / "test.tsv"))),
+    "predictions_duplicate_id": (2, "model.preds:2: duplicate sample id", "evaluate",
+                                 lambda root: (write_perfect_predictions(root),
+                                               duplicate_first_line(root / "model.preds"))),
+    "test_split_empty": (2, "holds no samples", "evaluate", lambda root: (
+        (root / "test.tsv").write_text(""), (root / "model.preds").write_text(""))),
+}
+
+
 class TestErrorContract:
+    @pytest.mark.parametrize("probe", sorted(CORRUPT_INPUTS))
+    def test_corrupt_input_exits_with_one_line(self, tmp_path, capsys, probe):
+        code, message, command, mutate = CORRUPT_INPUTS[probe]
+        path = write_config(tmp_path)
+        assert cli.main(["prepare", "--config", path]) == 0
+        mutate(tmp_path)
+        capsys.readouterr()
+        command, *flags = command.split()
+        assert cli.main([command, "--config", path, *flags]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert message in err and "Traceback" not in err
+
     def test_nan_parameter_exits_2_with_one_line(self, pipeline, capsys):
         root, path = pipeline
         config, params = load_checkpoint(str(root / "model.ckpt"))
@@ -396,6 +496,7 @@ class TestAblate:
         baseline_rows = [row for row in report["rows"] if row["t"] is None]
         assert len(baseline_rows) == 1 and baseline_rows[0]["name"] == "baseline"
         assert all(row["finite"] for row in report["rows"])
+        assert_renders(out, cli.format_ablation)
 
     def test_sweep_entry_equal_to_baseline_is_the_baseline(self, tmp_path):
         path = write_config(tmp_path, {"max_epochs": 1})
