@@ -55,10 +55,11 @@ class LoadedModel:
 
     def encode(self, encoded: Sequence[EncodedSample],
                collect_trace: bool = False) -> EncoderState:
-        """The samples' prefix-independent state; computed once per chunk."""
+        """The samples' prefix-independent state, one row per sample."""
+        inputs = batch_inputs(encoded)
         with no_grad():
-            return encode(batch_inputs(encoded), self.params, self.config,
-                          collect_trace=collect_trace)
+            return encode(inputs, self.params, self.config,
+                          collect_trace=collect_trace).select(inputs.rows)
 
     def next_dist(self, state: EncoderState, prefixes,
                   collect_trace: bool = False) -> tuple[np.ndarray, list[MemoryTrace] | None]:

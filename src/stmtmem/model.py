@@ -27,33 +27,31 @@ from .config import ModelConfig
 from .corpus import EncodedSample
 from .errors import UsageError
 from .params import ParameterSet, glorot_init, uniform_init
+# gru_cell is not called: benchmarks/tracing.py hooks this name for its
+# per-GRU metrics, which read 0 now that every recurrence is one
+# gru_sequence call.
+from .tensor import gru_cell  # noqa: F401
 from .tensor import (
     GRUWeights,
     Tensor,
     add,
-    add_const,
     broadcast_to,
     concat,
     constant,
     embedding_lookup,
     episodic_gate,
-    gru_cell,
+    gru_sequence,
     matmul,
     mul,
-    neg,
     no_grad,
     relu,
     reshape,
     slice_axis,
     softmax,
-    stack,
     sum_axis,
+    take_rows,
     transpose_last2,
-    zeros,
 )
-
-_GRU_PARTS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
-
 
 @dataclass
 class MemoryTrace:
@@ -80,14 +78,9 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         gru_names.append("episodic_gru")
         if config.statement_encoding == "eos":
             gru_names.append("eos_gru")
-    for gru in gru_names:
-        for part in _GRU_PARTS:
-            if part.startswith("w"):
-                specs.append((f"{gru}.{part}", (e, l), "weight"))
-            elif part.startswith("u"):
-                specs.append((f"{gru}.{part}", (l, l), "weight"))
-            else:
-                specs.append((f"{gru}.{part}", (l,), "bias"))
+    shapes = {"w": (e, l), "u": (l, l), "b": (l,)}
+    specs += [(f"{gru}.{part}", shapes[part[0]], "bias" if part[0] == "b" else "weight")
+              for gru in gru_names for part in GRUWeights._fields]
     ctx_width = 3 * l if config.encoder_kind == "smn" else 2 * l
     specs.append(("proj.w", (ctx_width, config.projection_dim), "weight"))
     specs.append(("proj.b", (config.projection_dim,), "bias"))
@@ -118,7 +111,7 @@ def init_params(config: ModelConfig) -> ParameterSet:
 
 
 def gru_weights(params: ParameterSet, prefix: str) -> GRUWeights:
-    return GRUWeights(*(params[f"{prefix}.{part}"] for part in _GRU_PARTS))
+    return GRUWeights(*(params[f"{prefix}.{part}"] for part in GRUWeights._fields))
 
 
 def positional_matrix(x_dim: int, y_len: int) -> np.ndarray:
@@ -138,26 +131,34 @@ def positional_matrix(x_dim: int, y_len: int) -> np.ndarray:
 
 @dataclass
 class ModelInputs:
-    """One batch of numpy-side model inputs (prefix-form summaries)."""
+    """One batch of numpy-side model inputs (prefix-form summaries). The
+    code side holds each distinct sample once; every batch row has its own
+    summary and the row of its sample."""
 
-    code_ids: np.ndarray       # [B, tdatlen] int64
-    stmt_ids: np.ndarray       # [B, n, Y] int64
-    stmt_lengths: np.ndarray   # [B, n] int64
+    code_ids: np.ndarray       # [K, tdatlen] int64, K distinct samples
+    stmt_ids: np.ndarray       # [K, n, Y] int64
+    stmt_lengths: np.ndarray   # [K, n] int64
     summary_ids: np.ndarray    # [B, comlen] int64
+    rows: np.ndarray           # [B] int64, each batch row's sample in [0, K)
 
 
 def batch_inputs(samples: Sequence[EncodedSample],
                  summary_rows: Sequence[np.ndarray] | None = None) -> ModelInputs:
-    """Stack encoded samples; `summary_rows` overrides the stored summaries
-    (used for teacher-forcing prefixes and decoding)."""
-    code = np.stack([s.code_ids for s in samples])
-    stmt = np.stack([s.statements.ids for s in samples])
-    lens = np.stack([s.statements.lengths for s in samples])
+    """Stack each distinct sample (by identity) once, in first-seen order,
+    and record the row of every entry; `summary_rows` overrides the stored
+    summaries (used for teacher-forcing prefixes and decoding)."""
+    first_row: dict[int, int] = {}
+    rows = np.array([first_row.setdefault(id(s), len(first_row)) for s in samples],
+                    dtype=np.int64)
+    distinct = list({id(s): s for s in samples}.values())
+    code = np.stack([s.code_ids for s in distinct])
+    stmt = np.stack([s.statements.ids for s in distinct])
+    lens = np.stack([s.statements.lengths for s in distinct])
     if summary_rows is None:
         summary = np.stack([s.summary_ids for s in samples])
     else:
         summary = np.stack(summary_rows)
-    return ModelInputs(code, stmt, lens, summary)
+    return ModelInputs(code, stmt, lens, summary, rows)
 
 
 def prefix_row(prefix_ids: Sequence[int], comlen: int) -> np.ndarray:
@@ -167,17 +168,6 @@ def prefix_row(prefix_ids: Sequence[int], comlen: int) -> np.ndarray:
     row = np.zeros(comlen, dtype=np.int64)
     row[: len(prefix_ids)] = prefix_ids
     return row
-
-
-def _run_gru(seq_emb: Tensor, w: GRUWeights, l_dim: int) -> Tensor:
-    """Unroll a GRU over axis 1 of [B, T, e]; returns all states [B, T, l]."""
-    batch, steps = seq_emb.shape[0], seq_emb.shape[1]
-    state = zeros((batch, l_dim))
-    states = []
-    for t in range(steps):
-        state = gru_cell(slice_axis(seq_emb, 1, t), state, w)
-        states.append(state)
-    return stack(states, 1)
 
 
 def _length_mask(lengths: np.ndarray, depth: int) -> np.ndarray:
@@ -198,57 +188,45 @@ def encode_statements_positional(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
 
 
 def encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
-                          embedding: Tensor, w: GRUWeights, l_dim: int) -> Tensor:
-    """F_t = final GRU state over the statement's words (state frozen past
-    each row's true length; empty rows never update, so they stay zero)."""
+                          embedding: Tensor, w: GRUWeights) -> Tensor:
+    """F_t = final GRU state over the statement's words. The length mask
+    gates the GRU, so a row's state is frozen past its true length and an
+    empty row never moves from zero."""
     b, n, y = stmt_ids.shape
-    flat_ids = stmt_ids.reshape(b * n, y)
     flat_lengths = stmt_lengths.reshape(b * n)
-    emb = embedding_lookup(embedding, flat_ids)                   # [B*n, Y, e]
-    state = zeros((b * n, l_dim))
-    steps = int(flat_lengths.max(initial=0))
-    for yy in range(steps):
-        nxt = gru_cell(slice_axis(emb, 1, yy), state, w)
-        alive = broadcast_to(constant((flat_lengths > yy).astype(np.float64)[:, None]),
-                             (b * n, l_dim))
-        state = add(mul(alive, nxt), mul(add_const(neg(alive), 1.0), state))
-    return reshape(state, (b, n, l_dim))
+    # later steps change nothing; with no statement at all one keeps every row 0
+    steps = max(int(flat_lengths.max(initial=0)), 1)
+    emb = embedding_lookup(embedding, stmt_ids.reshape(b * n, y)[:, :steps])   # [B*n, steps, e]
+    states = gru_sequence(emb, w, gate=constant(_length_mask(flat_lengths, steps)))
+    return reshape(slice_axis(states, 1, steps - 1), (b, n, states.shape[2]))
 
 
 def memory_hops(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
                 w: GRUWeights, gate_squash: str,
                 collect_gates: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """Run `hops` episodes over the statements [B, n, d]. Within a hop the
-    episode memory m starts at zero and each real statement t applies
+    episode memory m starts at zero and each statement t applies
 
-        m <- g_t * GRU(F_t, m) + (1 - g_t) * m
+        m <- a_t * GRU(F_t, m) + (1 - a_t) * m,    a_t = g_t * valid_t
 
-    with g_t gated against the previous hop's final memory (hop 1 gates
-    against the zero memory). Pad statements (valid [B, n] false) are
-    skipped entirely. Returns the memory stack [B, hops, d] and, when
-    `collect_gates`, the gate values [B, hops, n] (pad slots 0)."""
+    with every g_t of a hop gated against the previous hop's final memory
+    (hop 1 against the zero memory), so a pad statement (valid [B, n] false)
+    leaves m as it is. Returns the memory stack [B, hops, d] and, when
+    `collect_gates`, the gates a [B, hops, n] (pad slots 0)."""
     if hops < 1:
         raise UsageError(f"hops must be >= 1, got {hops}")
     b, n, d = f.shape
-    m_prev = zeros((b, d))
+    mask = constant(valid.astype(np.float64))
+    m = constant(np.zeros((b, d)))
     memories = []
     gates = np.zeros((b, hops, n)) if collect_gates else None
-    live_cols = np.flatnonzero(valid.any(axis=0))
-    last_t = int(live_cols[-1]) + 1 if live_cols.size else 0
     for i in range(hops):
-        m = zeros((b, d))
-        for t in range(last_t):
-            f_t = slice_axis(f, 1, t)
-            g = episodic_gate(f_t, q, m_prev, squash=gate_squash == "sigmoid")   # [B, 1]
-            gb = broadcast_to(g, (b, d))
-            updated = add(mul(gb, gru_cell(f_t, m, w)), mul(add_const(neg(gb), 1.0), m))
-            alive = broadcast_to(constant(valid[:, t:t + 1].astype(np.float64)), (b, d))
-            m = add(mul(alive, updated), mul(add_const(neg(alive), 1.0), m))
-            if collect_gates:
-                gates[:, i, t] = g.data[:, 0] * valid[:, t]
+        a = mul(episodic_gate(f, q, m, gate_squash == "sigmoid"), mask)   # [B, n]
+        m = slice_axis(gru_sequence(f, w, gate=a), 1, n - 1)          # [B, d]
         memories.append(m)
-        m_prev = m
-    return stack(memories, 1), gates                              # [B, h, d]
+        if collect_gates:
+            gates[:, i] = np.where(valid, a.data, 0.0)
+    return reshape(concat(memories, 1), (b, hops, d)), gates
 
 
 @dataclass
@@ -263,10 +241,11 @@ class EncoderState:
     gates: np.ndarray | None = None     # [B, h, n] gate values (constant_q, when collected)
 
     def select(self, rows: Sequence[int]) -> "EncoderState":
-        """The state of batch rows `rows` alone, copied out in that order."""
+        """The state of batch rows `rows` alone, in that order; a row may
+        repeat, and gradients flow back to the rows selected."""
         def pick(value):
             if isinstance(value, Tensor):
-                return constant(value.data[rows])
+                return take_rows(value, rows)
             return None if value is None else value[rows]
         return EncoderState(*(pick(getattr(self, f.name)) for f in fields(self)))
 
@@ -276,9 +255,8 @@ def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
     """Code-GRU states and statement vectors of a batch (its summary slots
     are not read). Under the constant_q query the memory stack does not
     depend on the prefix either, so it is computed here too."""
-    l = config.l_dim
     emb_code = embedding_lookup(params["embed.code"], inputs.code_ids)
-    state = EncoderState(h_enc=_run_gru(emb_code, gru_weights(params, "enc_gru"), l))
+    state = EncoderState(h_enc=gru_sequence(emb_code, gru_weights(params, "enc_gru")))
     if config.encoder_kind == "smn":
         if config.statement_encoding == "positional":
             p_matrix = positional_matrix(config.e_dim, config.y)
@@ -287,10 +265,10 @@ def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
         else:
             state.f = encode_statements_eos(inputs.stmt_ids, inputs.stmt_lengths,
                                             params["embed.code"],
-                                            gru_weights(params, "eos_gru"), l)
+                                            gru_weights(params, "eos_gru"))
         state.valid = inputs.stmt_lengths > 0
         if config.gate_query == "constant_q":
-            q = constant(np.full((inputs.code_ids.shape[0], l), config.q_fill))
+            q = constant(np.full((inputs.code_ids.shape[0], config.l_dim), config.q_fill))
             state.mem, state.gates = memory_hops(state.f, q, state.valid, config.h,
                                                  gru_weights(params, "episodic_gru"),
                                                  config.gate_squash, collect_trace)
@@ -306,7 +284,7 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
     memory hops run here, gated against the decoder's final state."""
     b = summary_ids.shape[0]
     emb_sum = embedding_lookup(params["embed.summary"], summary_ids)
-    h_dec = _run_gru(emb_sum, gru_weights(params, "dec_gru"), config.l_dim)   # [B, C, l]
+    h_dec = gru_sequence(emb_sum, gru_weights(params, "dec_gru"))          # [B, C, l]
 
     traces = None
     parts = []
@@ -340,9 +318,11 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
 
 def _forward_batch(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
                    collect_trace: bool = False) -> tuple[Tensor, list[MemoryTrace] | None]:
-    """Batched forward pass; returns the [B, v] next-word distributions."""
-    return head(encode(inputs, params, config, collect_trace), inputs.summary_ids,
-                params, config, collect_trace)
+    """Batched forward pass: encode each distinct sample once, expand the
+    state to the batch rows, and run the head on them; returns the [B, v]
+    next-word distributions."""
+    state = encode(inputs, params, config, collect_trace).select(inputs.rows)
+    return head(state, inputs.summary_ids, params, config, collect_trace)
 
 
 def forward(encoded: EncodedSample, params: ParameterSet, config: ModelConfig,

@@ -110,10 +110,6 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=False)
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -160,18 +156,18 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), backward)
 
 
-def add_const(a: Tensor, c: float) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-
-    return _make(a.data + float(c), (a,), backward)
-
-
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp(-|x|) never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, as exp(min(x, 0)) over
+    # 1 + exp(-|x|), which never overflows. Written with few temporaries:
+    # allocating them costs more than the arithmetic at these shapes.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num = np.minimum(x, 0.0, out=out)
+    np.exp(num, out=num)
+    num /= e
+    return num
 
 
 def relu(a: Tensor) -> Tensor:
@@ -180,12 +176,6 @@ def relu(a: Tensor) -> Tensor:
             a._accumulate(g * (a.data > 0))
 
     return _make(np.maximum(a.data, 0.0), (a,), backward)
-
-
-def _weight_grad(ad: np.ndarray, g: np.ndarray, weight_shape) -> np.ndarray:
-    """Gradient of a shared 2-d weight in `ad @ weight`, given the output's."""
-    k, c = weight_shape
-    return ad.reshape(-1, k).T @ g.reshape(-1, c)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -203,7 +193,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 a._accumulate(g @ bd.T)
             if b.requires_grad:
-                b._accumulate(_weight_grad(ad, g, bd.shape))
+                b._accumulate(ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
 
         return _make(out, (a, b), backward)
 
@@ -368,14 +358,6 @@ def slice_axis(a: Tensor, axis: int, index: int) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Stack equal-shaped tensors along a new axis (reshape + concat)."""
-    expanded = [
-        reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors
-    ]
-    return concat(expanded, axis)
-
-
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     # Gradient is 0 in the clamped region.
     def backward(g):
@@ -434,131 +416,159 @@ class GRUWeights(NamedTuple):
     bh: Tensor
 
 
-def _check_gru_shapes(xd: np.ndarray, hd: np.ndarray, w: GRUWeights) -> None:
-    if xd.ndim != 2 or hd.ndim != 2 or hd.shape[0] != xd.shape[0]:
-        raise DimensionError(f"gru_cell: input {xd.shape} and state {hd.shape} disagree")
-    e, l = xd.shape[-1], hd.shape[-1]
+def take_rows(a: Tensor, rows) -> Tensor:
+    """Rows `rows` of `a` along axis 0, in order, repeats allowed. The backward
+    adds gradients back as np.add.at would, 10x faster for 100 [96, 16] rows."""
+    index = np.asarray(rows, dtype=np.int64)
+
+    def backward(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            for source, row in enumerate(index.tolist()):
+                a.grad[row] += g[source]
+
+    return _make(a.data[index], (a,), backward)
+
+
+def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
+                 h0: Tensor | None = None) -> Tensor:
+    """A GRU over axis 1 of x [B, T, e] from h0 [B, l] (zeros when None);
+    returns every state [B, T, l]. From state h, step t computes
+
+        z = sigmoid(Wz x + Uz h + bz),  r = sigmoid(Wr x + Ur h + br),
+        c = z*h + (1-z)*tanh(Wh x + Uh (r*h) + bh)
+
+    and keeps c or, given a gate [B, T], a*c + (1-a)*h with a = gate[:, t]:
+    a 0/1 length mask freezes rows past their length, and a differentiable
+    gate is the episodic memory's update. One tape node: the input products
+    of all steps are one matrix product (Appleyard et al., arXiv
+    1604.01946), the backward runs backpropagation through time in one
+    closure, and each weight gradient is one product over all steps."""
+    xd = x.data
+    b, steps, e = xd.shape if xd.ndim == 3 else (0, 0, 0)
+    l = w.uz.shape[0]
     want = {"w": (e, l), "u": (l, l), "b": (l,)}
-    for name, part in zip(GRUWeights._fields, w):
-        if part.shape != want[name[0]]:
-            raise DimensionError(f"gru_cell: {name} has shape {part.shape}, want {want[name[0]]}")
+    if (steps == 0 or any(p.shape != want[n[0]] for n, p in zip(GRUWeights._fields, w))
+            or (gate is not None and gate.shape != (b, steps))
+            or (h0 is not None and h0.shape != (b, l))):
+        raise DimensionError(f"gru_sequence: input {xd.shape}, weights "
+                             f"{[p.shape for p in w]}, gate {gate and gate.shape} and "
+                             f"initial state {h0 and h0.shape} do not fit [B, T>0, e]")
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (part.data for part in w)
+    w_x = np.concatenate([wz, wr, wh], axis=1)                  # [e, 3l]
+    u_zr = np.concatenate([uz, ur], axis=1)                     # [l, 2l]
+    b_zr = np.concatenate([bz, br])
+    x_tm = xd.transpose(1, 0, 2).reshape(steps * b, e)          # time-major rows
+    xw = (x_tm @ w_x).reshape(steps, b, 3 * l)
+    xw_zr, xw_h = np.ascontiguousarray(xw[..., :2 * l]), np.ascontiguousarray(xw[..., 2 * l:])
+    if gate is not None:
+        a_tm = gate.data.T[:, :, None]                          # [T, B, 1]
+        keep_tm = -a_tm + 1.0
+    # steps write in place into slot t: a fresh array per value costs more
+    zrs, ozs, hbars, rhs = (np.empty((steps, b, k)) for k in (2 * l, l, l, l))
+    hs = np.empty((steps + 1, b, l))                            # hs[t]: state step t starts from
+    hs[0] = 0.0 if h0 is None else h0.data
+    for t in range(steps):
+        h, zr, oz, hbar, rh, c = hs[t], zrs[t], ozs[t], hbars[t], rhs[t], hs[t + 1]
+        np.matmul(h, u_zr, out=zr)
+        zr += xw_zr[t]
+        zr += b_zr
+        _sigmoid_values(zr, out=zr)
+        z, r = zr[:, :l], zr[:, l:]
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, uh, out=hbar)
+        hbar += xw_h[t]
+        hbar += bh
+        np.tanh(hbar, out=hbar)
+        np.subtract(1.0, z, out=oz)
+        np.multiply(z, h, out=c)
+        c += oz * hbar
+        if gate is not None:
+            c *= a_tm[t]
+            c += keep_tm[t] * h
+
+    def backward(g):
+        # the factors that do not depend on the incoming gradient, all steps at once
+        h_prev = hs[:-1]
+        dzr = zrs * (1.0 - zrs)
+        d_z = (h_prev - hbars) * dzr[..., :l]                   # d c / d z-pre, per unit of dc
+        d_h = ozs * (1.0 - hbars * hbars)                       # d c / d h~-pre
+        d_r = h_prev * dzr[..., l:]                             # d (r*h) / d r-pre
+        z, r = np.ascontiguousarray(zrs[..., :l]), np.ascontiguousarray(zrs[..., l:])
+        if gate is not None:
+            ga = np.empty((steps, b))
+            c_minus_h = ozs * (hbars - h_prev)
+        gpre = np.empty((steps, 3, b, l))                       # gaz, gar, gah per step
+        g_tm = g.transpose(1, 0, 2)
+        carry = np.zeros((b, l))
+        for t in reversed(range(steps)):
+            gc = g_tm[t] + carry
+            if gate is not None:
+                ga[t] = np.sum(gc * c_minus_h[t], axis=1)
+                kept = gc * keep_tm[t]
+                gc *= a_tm[t]
+            g_z, g_r, g_h = gpre[t]
+            np.multiply(gc, d_z[t], out=g_z)
+            np.multiply(gc, d_h[t], out=g_h)
+            grh = g_h @ uh.T
+            np.multiply(grh, d_r[t], out=g_r)
+            carry = g_z @ uz.T + g_r @ ur.T + gc * z[t] + grh * r[t]
+            if gate is not None:
+                carry += kept
+        flat = gpre.transpose(0, 2, 1, 3).reshape(steps * b, 3 * l)   # rows as in x_tm
+        if x.requires_grad:
+            x._accumulate((flat @ w_x.T).reshape(steps, b, e).transpose(1, 0, 2))
+        gw_z, gw_r, gw_h = np.split(x_tm.T @ flat, 3, axis=1)
+        gu_z, gu_r = np.split(h_prev.reshape(steps * b, l).T @ flat[:, :2 * l], 2, axis=1)
+        gu_h = rhs.reshape(steps * b, l).T @ flat[:, 2 * l:]
+        gb_z, gb_r, gb_h = np.split(flat.sum(axis=0), 3)
+        for part, grad in zip(w, (gw_z, gu_z, gb_z, gw_r, gu_r, gb_r, gw_h, gu_h, gb_h)):
+            if part.requires_grad:
+                part._accumulate(grad)
+        if h0 is not None and h0.requires_grad:
+            h0._accumulate(carry)
+        if gate is not None and gate.requires_grad:
+            gate._accumulate(ga.T)
+
+    parents = (x, *w) + tuple(p for p in (gate, h0) if p is not None)
+    return _make(hs[1:].transpose(1, 0, 2).copy(), parents, backward)
 
 
 def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
-    """One GRU step, convention h' = z*h + (1-z)*h~ with
-
-        z  = sigmoid(Wz x + Uz h + bz)
-        r  = sigmoid(Wr x + Ur h + br)
-        h~ = tanh(Wh x + Uh (r*h) + bh)
-
-    Takes a batch: x is [B, E] and h is [B, H].
-
-    The step is one tape node instead of a graph of about two dozen
-    elementwise ops. Forward and backward do the float operations of that
-    graph, and each parent gets its gradient terms in the order the
-    graph's tape walk adds them, so the results are bitwise those of the
-    op-by-op cell. For that, the cell keeps the graph's broadcast node for
-    bh: the walk reaches it before h, so after a sequence GRU's backward
-    bh's terms arrive first step first, as they did in the graph.
-    """
-    xd, hd = x.data, h.data
-    _check_gru_shapes(xd, hd, w)
-    wz, uz, bz, wr, ur, br, wh, uh, bh = (part.data for part in w)
-    z = _sigmoid_values(xd @ wz + hd @ uz + bz)
-    r = _sigmoid_values(xd @ wr + hd @ ur + br)
-    rh = r * hd
-    hbar = np.tanh(xd @ wh + rh @ uh + bh)
-    oz = -z + 1.0
-    out = Tensor(z * hd + oz * hbar)
-    if not (_GRAD_ENABLED and (x.requires_grad or h.requires_grad
-                               or any(part.requires_grad for part in w))):
-        return out
-    bh_in = broadcast_to(w.bh, hbar.shape)
-
-    def bias_grad(g):
-        # the graph summed a batch's bias rows in a broadcast node's
-        # gradient buffer, which zeros_like lays out column-major
-        return np.asfortranarray(g).sum(axis=(0,))
-
-    def backward(g):
-        gaz = (g * hd - g * hbar) * z * (1.0 - z)
-        gah = g * oz * (1.0 - hbar * hbar)
-        grh = gah @ uh.T
-        gar = grh * hd * r * (1.0 - r)
-        # z path, then h~ path, then r path: the graph's tape order.
-        if h.requires_grad:
-            h._accumulate(g * z)
-        if x.requires_grad:
-            x._accumulate(gaz @ wz.T)
-        if w.wz.requires_grad:
-            w.wz._accumulate(_weight_grad(xd, gaz, wz.shape))
-        if h.requires_grad:
-            h._accumulate(gaz @ uz.T)
-        if w.uz.requires_grad:
-            w.uz._accumulate(_weight_grad(hd, gaz, uz.shape))
-        if w.bz.requires_grad:
-            w.bz._accumulate(bias_grad(gaz))
-        if x.requires_grad:
-            x._accumulate(gah @ wh.T)
-        if w.wh.requires_grad:
-            w.wh._accumulate(_weight_grad(xd, gah, wh.shape))
-        if w.uh.requires_grad:
-            w.uh._accumulate(_weight_grad(rh, gah, uh.shape))
-        if h.requires_grad:
-            h._accumulate(grh * r)
-        if x.requires_grad:
-            x._accumulate(gar @ wr.T)
-        if w.wr.requires_grad:
-            w.wr._accumulate(_weight_grad(xd, gar, wr.shape))
-        if h.requires_grad:
-            h._accumulate(gar @ ur.T)
-        if w.ur.requires_grad:
-            w.ur._accumulate(_weight_grad(hd, gar, ur.shape))
-        if w.br.requires_grad:
-            w.br._accumulate(bias_grad(gar))
-        if bh_in.requires_grad:
-            bh_in._accumulate(gah)
-
-    out.requires_grad = True
-    out._parents = (x, w.wz, w.uz, w.bz, w.wr, w.ur, w.br, w.wh, w.uh, h, bh_in)
-    out._backward = backward
-    return out
+    """One GRU step on x [B, e] from state h [B, l]: gru_sequence for T = 1."""
+    return reshape(gru_sequence(reshape(x, (x.shape[0], 1, -1)), w, h0=h), h.shape)
 
 
 def episodic_gate(f: Tensor, q: Tensor, m: Tensor, squash: bool = False) -> Tensor:
-    """Scalar gate per row of three [B, d] inputs: tanh of the features
-    [f*q, f*m, |f-q|, |f-m|], summed over the 4d features, then a sigmoid
-    when `squash`. Returns [B, 1].
-
-    One tape node in place of the graph mul, mul, sub, abs, sub, abs,
-    concat, tanh, sum (and sigmoid); like gru_cell it does that graph's
-    float operations and adds gradient terms in its tape order, so the
-    results are bitwise the graph's.
-    """
+    """The scalar gate of every statement of f [B, n, d] against one query
+    q and one memory m [B, d]: tanh of the features [f*q, f*m, |f-q|, |f-m|],
+    summed over the 4d features, then a sigmoid when `squash`. Returns
+    [B, n] as one tape node; all the gates of a memory hop read the same
+    (previous hop's) memory, so a hop needs one call."""
     fd, qd, md = f.data, q.data, m.data
-    if fd.ndim != 2 or qd.shape != fd.shape or md.shape != fd.shape:
-        raise DimensionError(f"episodic_gate: shapes {fd.shape}, {qd.shape}, {md.shape} "
-                             "must be one [B, d]")
-    d = fd.shape[1]
-    diff_q, diff_m = fd - qd, fd - md
-    t = np.tanh(np.concatenate([fd * qd, fd * md, np.abs(diff_q), np.abs(diff_m)], axis=1))
-    s = t.sum(axis=1, keepdims=True)
+    if fd.ndim != 3 or qd.shape != (fd.shape[0], fd.shape[2]) or md.shape != qd.shape:
+        raise DimensionError(f"episodic_gate: statements {fd.shape}, query {qd.shape} and "
+                             f"memory {md.shape} must be [B, n, d], [B, d], [B, d]")
+    d = fd.shape[2]
+    qb, mb = qd[:, None], md[:, None]
+    diff_q, diff_m = fd - qb, fd - mb
+    t = np.tanh(np.concatenate([fd * qb, fd * mb, np.abs(diff_q), np.abs(diff_m)], axis=2))
+    s = t.sum(axis=2)
     y = _sigmoid_values(s) if squash else s
 
     def backward(g):
         if squash:
             g = g * y * (1.0 - y)
-        gt = np.broadcast_to(g, t.shape) * (1.0 - t * t)
-        g_fq, g_fm = gt[:, :d], gt[:, d:2 * d]
-        g_dq = gt[:, 2 * d:3 * d] * np.sign(diff_q)
-        g_dm = gt[:, 3 * d:] * np.sign(diff_m)
-        # mul(f, q), mul(f, m), sub(f, q), sub(f, m): the graph's tape order
-        for a, ga, b, gb in ((f, g_fq * qd, q, g_fq * fd), (f, g_fm * md, m, g_fm * fd),
-                             (f, g_dq, q, -g_dq), (f, g_dm, m, -g_dm)):
-            if a.requires_grad:
-                a._accumulate(ga)
-            if b.requires_grad:
-                b._accumulate(gb)
+        gt = g[:, :, None] * (1.0 - t * t)
+        g_fq, g_fm = gt[..., :d], gt[..., d:2 * d]
+        g_dq = gt[..., 2 * d:3 * d] * np.sign(diff_q)
+        g_dm = gt[..., 3 * d:] * np.sign(diff_m)
+        if f.requires_grad:
+            f._accumulate(g_fq * qb + g_fm * mb + g_dq + g_dm)
+        if q.requires_grad:
+            q._accumulate(np.sum(g_fq * fd - g_dq, axis=1))
+        if m.requires_grad:
+            m._accumulate(np.sum(g_fm * fd - g_dm, axis=1))
 
-    # reversed, the walk meets m, then f, then q, as in the graph
-    return _make(y, (q, f, m), backward)
+    return _make(y, (f, q, m), backward)

@@ -120,14 +120,17 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
         _leaf(rng, (3, 4)), _leaf(rng, (4, 4)), _leaf(rng, (4,)),
     )
     gx2 = _leaf(rng, (2, 3))
-    gh2 = _leaf(rng, (2, 4))
+    seq = _leaf(rng, (2, 3, 3))
+    mask = T.constant([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    gate = _leaf(rng, (2, 3), low=-0.5, high=1.5)
+    gate.data[1, 2] = 0.0                      # a pad step's gate still has a gradient
+    query, memory = _leaf(rng, (2, 4)), _leaf(rng, (2, 4))
     p = _projector(rng)
 
     cases = [
         ("add", lambda: p(T.add(a34, b34)), [a34, b34]),
         ("mul", lambda: p(T.mul(a34, b34)), [a34, b34]),
         ("neg", lambda: p(T.neg(a34)), [a34]),
-        ("add_const", lambda: p(T.add_const(a34, 0.5)), [a34]),
         ("relu", lambda: p(T.relu(a34)), [a34]),
         ("matmul", lambda: p(T.matmul(m34, m42)), [m34, m42]),
         ("matmul_shared", lambda: p(T.matmul(batch_a, m42)), [batch_a, m42]),
@@ -142,16 +145,21 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
         ("reshape", lambda: p(T.reshape(a34, (2, 6))), [a34]),
         ("transpose_last2", lambda: p(T.transpose_last2(batch_a)), [batch_a]),
         ("slice_axis", lambda: p(T.slice_axis(batch_a, 1, 1)), [batch_a]),
-        ("stack", lambda: p(T.stack([a34, b34], 1)), [a34, b34]),
+        ("take_rows", lambda: p(T.take_rows(batch_a, [1, 0, 1])), [batch_a]),
         ("log", lambda: p(T.log(pos)), [pos]),
         ("clamp_min", lambda: p(T.clamp_min(pos, 0.75)), [pos]),
         ("gather_index", lambda: T.sum_all(T.gather_index(logits, targets)), [logits]),
         ("cross_entropy",
          lambda: T.mean_all(T.cross_entropy(T.softmax(logits, axis=-1), targets)), [logits]),
-        ("gru_cell_batch", lambda: p(T.gru_cell(gx2, gh2, gw)), [gx2, gh2, *gw]),
-        ("episodic_gate", lambda: p(T.episodic_gate(a34, b34, m34)), [a34, b34, m34]),
-        ("episodic_gate_squashed",
-         lambda: p(T.episodic_gate(a34, b34, m34, squash=True)), [a34, b34, m34]),
+        ("gru_sequence", lambda: p(T.gru_sequence(seq, gw)), [seq, *gw]),
+        ("gru_sequence_masked", lambda: p(T.gru_sequence(seq, gw, gate=mask)), [seq, *gw]),
+        ("gru_sequence_gated",
+         lambda: p(T.gru_sequence(seq, gw, gate=gate)), [seq, gate, *gw]),
+        ("gru_cell", lambda: p(T.gru_cell(gx2, memory, gw)), [gx2, memory, *gw]),
+        ("episodic_gate", lambda: p(T.episodic_gate(batch_a, query, memory)),
+         [batch_a, query, memory]),
+        ("episodic_gate_squashed", lambda: p(T.episodic_gate(batch_a, query, memory, True)),
+         [batch_a, query, memory]),
     ]
     return cases
 
@@ -191,7 +199,7 @@ def _toy_batch(config: ModelConfig, seed: int = 11) -> tuple[ModelInputs, np.nda
     summary[:, 0] = 1
     summary[:, 1] = rng.integers(4, config.summary_vocab_size, size=batch)
     targets = rng.integers(0, config.summary_vocab_size, size=batch)
-    return ModelInputs(code, stmt, lengths, summary), targets
+    return ModelInputs(code, stmt, lengths, summary, np.arange(batch)), targets
 
 
 def model_variants(base: ModelConfig | None = None) -> list[tuple[str, ModelConfig]]:

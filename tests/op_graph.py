@@ -1,14 +1,24 @@
 """Op-graph references for the fused kernels.
 
-`gru_cell` and `episodic_gate` in `stmtmem.tensor` are one tape node each,
-with hand-written backwards that must be bitwise those of the graphs of
-elementwise tape ops below. The elementwise ops those graphs need, and
-the model does not, live here rather than in the package.
+`gru_sequence`, `episodic_gate` and `take_rows` in `stmtmem.tensor` are one
+tape node each, with hand-written backwards. The step loops and graphs of
+elementwise tape ops below compute the same functions one op per node, so
+their values and gradients must agree with the kernels' up to the order of
+float sums. The elementwise ops those graphs need, and the model does not,
+live here rather than in the package.
 """
 
 import numpy as np
 
 from stmtmem import tensor as T
+
+
+def add_const(a, c):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g)
+
+    return T._make(a.data + float(c), (a,), backward)
 
 
 def sub(a, b):
@@ -61,11 +71,39 @@ def gru_cell(x, h, w):
     z = sigmoid(affine(x, h, w.wz, w.uz, w.bz))
     r = sigmoid(affine(x, h, w.wr, w.ur, w.br))
     hbar = tanh(affine(x, T.mul(r, h), w.wh, w.uh, w.bh))
-    return T.add(T.mul(z, h), T.mul(T.add_const(T.neg(z), 1.0), hbar))
+    return T.add(T.mul(z, h), T.mul(add_const(T.neg(z), 1.0), hbar))
+
+
+def gru_sequence(x, w, gate=None, h0=None):
+    """A step loop of `gru_cell` over axis 1 of x [B, T, e]; with a gate
+    [B, T], step t keeps a*GRU(x_t, h) + (1-a)*h."""
+    b, steps, _ = x.shape
+    h = h0 if h0 is not None else T.constant(np.zeros((b, w.uz.shape[0])))
+    states = []
+    for t in range(steps):
+        c = gru_cell(T.slice_axis(x, 1, t), h, w)
+        if gate is None:
+            h = c
+        else:
+            a = T.broadcast_to(T.reshape(T.slice_axis(gate, 1, t), (b, 1)), c.shape)
+            h = T.add(T.mul(a, c), T.mul(add_const(T.neg(a), 1.0), h))
+        states.append(h)
+    return T.concat([T.reshape(s, (b, 1, s.shape[1])) for s in states], 1)
 
 
 def episodic_gate(f, q, m, squash=False):
-    """The episodic gate as a graph of elementwise tape ops."""
-    feats = T.concat([T.mul(f, q), T.mul(f, m), abs_(sub(f, q)), abs_(sub(f, m))], 1)
-    g = T.sum_axis(tanh(feats), 1, keepdims=True)
+    """The episodic gate of f [B, n, d] against q, m [B, d] as a graph of
+    elementwise tape ops; returns [B, n]."""
+    b, n, d = f.shape
+    qb, mb = (T.broadcast_to(T.reshape(v, (b, 1, d)), (b, n, d)) for v in (q, m))
+    feats = T.concat([T.mul(f, qb), T.mul(f, mb), abs_(sub(f, qb)), abs_(sub(f, mb))], 2)
+    g = T.sum_axis(tanh(feats), 2)
     return sigmoid(g) if squash else g
+
+
+def take_rows(a, rows):
+    """Rows of `a` as a one-hot matrix product, so its gradient is a
+    matrix product too rather than a scatter."""
+    one_hot = np.eye(a.shape[0])[np.asarray(rows)]
+    flat = T.reshape(a, (a.shape[0], a.size // a.shape[0]))
+    return T.reshape(T.matmul(T.constant(one_hot), flat), (len(rows),) + a.shape[1:])

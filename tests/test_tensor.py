@@ -256,7 +256,7 @@ class TestBackward:
         x = leaf([1.0])
         y = x
         for _ in range(5000):
-            y = T.add_const(y, 0.0)
+            y = op_graph.add_const(y, 0.0)
         T.sum_all(y).backward()
         assert x.grad[0] == 1.0
 
@@ -315,7 +315,7 @@ class TestFiniteDifferenceInvariant:
         kernels = {name for name, fn in vars(T).items()
                    if inspect.isfunction(fn) and fn.__module__ == T.__name__
                    and not name.startswith("_") and is_kernel(fn)}
-        assert {"matmul", "gru_cell", "episodic_gate"} <= kernels
+        assert {"matmul", "gru_sequence", "gru_cell", "episodic_gate", "take_rows"} <= kernels
         cases = [name for name, _, _ in verify.op_check_cases(np.random.default_rng(0))]
         checked = {}
         for case in cases:

@@ -1,11 +1,13 @@
 """Teacher forcing expansion, training loop behavior, and convergence rules."""
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import stmtmem.model
 from stmtmem.corpus import Sample, build_vocab, encode_sample
 from stmtmem.errors import UsageError
 from stmtmem.model import init_params
@@ -21,7 +23,9 @@ from stmtmem.training import (
     select_best,
     train,
 )
-from stmtmem.verify import toy_config
+from stmtmem.verify import model_variants, toy_config
+
+from test_model import assert_within
 
 
 def make_corpus(n_samples=4, words=("alpha", "beta", "gamma")):
@@ -186,6 +190,39 @@ class TestTrainLoop:
         rng = np.random.default_rng([7, 0x5F])
         order = rng.permutation(12)
         assert sorted(order.tolist()) == list(range(12))
+
+
+class TestBatchEncodesEachSampleOnce:
+    @pytest.mark.parametrize("name, cfg", model_variants(
+        toy_config(comlen=6, code_vocab_size=30, summary_vocab_size=30)))
+    def test_pairs_of_k_samples_encode_k_rows(self, name, cfg, monkeypatch):
+        enc, _, _ = encoded_corpus(cfg, 3)
+        pairs = [p for e in enc for p in expand_pairs(e)]
+        pairs = [pairs[i] for i in np.random.default_rng(5).permutation(len(pairs))]
+        encoded_rows = []
+        real_encode = stmtmem.model.encode
+
+        def counting_encode(inputs, *args, **kwargs):
+            encoded_rows.append(inputs.code_ids.shape[0])
+            return real_encode(inputs, *args, **kwargs)
+
+        monkeypatch.setattr(stmtmem.model, "encode", counting_encode)
+
+        def step(batch):
+            params = init_params(cfg)
+            inputs, targets = _pair_batch(batch, cfg.comlen)
+            dists, _ = _forward_batch(inputs, params, cfg)
+            mean_all(cross_entropy(dists, targets)).backward()
+            return [dists.data] + [p.grad for _, p in params.items()]
+
+        once = step(pairs)
+        assert encoded_rows == [3]
+        # a distinct copy of each pair's sample is not deduplicated
+        copies = [TrainingPair(copy.copy(p.sample), p.prefix_len, p.target_id) for p in pairs]
+        each = step(copies)
+        assert encoded_rows == [3, len(pairs)]
+        for mine, theirs in zip(once, each):
+            assert_within(mine, theirs)
 
 
 class TestSelectBest:
