@@ -548,25 +548,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.command == "prepare":
-            cmd_prepare(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "predict":
-            cmd_predict(cfg, args.checkpoint, args.out, args.dump_gates)
-        elif args.command == "evaluate":
-            cmd_evaluate(cfg, args.out)
-        elif args.command == "analyze":
-            cmd_analyze(cfg, args.preds_a, args.preds_b, args.out)
-        elif args.command == "ablate":
-            cmd_ablate(cfg, args.sweep, args.out)
-        elif args.command == "gradcheck":
-            cmd_gradcheck(cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command}")
+        # a non-finite value ends as a one-line data error, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cfg = RunConfig.load(args.config)
+            if args.seed is not None:
+                cfg = replace(cfg, seed=args.seed)
+            if args.command == "prepare":
+                cmd_prepare(cfg)
+            elif args.command == "train":
+                cmd_train(cfg)
+            elif args.command == "predict":
+                cmd_predict(cfg, args.checkpoint, args.out, args.dump_gates)
+            elif args.command == "evaluate":
+                cmd_evaluate(cfg, args.out)
+            elif args.command == "analyze":
+                cmd_analyze(cfg, args.preds_a, args.preds_b, args.out)
+            elif args.command == "ablate":
+                cmd_ablate(cfg, args.sweep, args.out)
+            elif args.command == "gradcheck":
+                cmd_gradcheck(cfg)
+            else:  # pragma: no cover - argparse enforces the choices
+                raise UsageError(f"unknown command {args.command}")
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3

@@ -235,10 +235,10 @@ class EncoderState:
     computed once per batch of samples and shared by every decode step."""
 
     h_enc: Tensor                       # [B, T, l] code-GRU states
-    f: Tensor | None = None             # [B, n, d] statement vectors (smn)
-    valid: np.ndarray | None = None     # [B, n] real-statement mask (smn)
+    f: Tensor | None = None             # [B, k, d] statement vectors (smn), k <= n used slots
+    valid: np.ndarray | None = None     # [B, k] real-statement mask (smn)
     mem: Tensor | None = None           # [B, h, d] memory stack (constant_q)
-    gates: np.ndarray | None = None     # [B, h, n] gate values (constant_q, when collected)
+    gates: np.ndarray | None = None     # [B, h, k] gate values (constant_q, when collected)
 
     def select(self, rows: Sequence[int]) -> "EncoderState":
         """The state of batch rows `rows` alone, in that order; a row may
@@ -258,15 +258,19 @@ def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
     emb_code = embedding_lookup(params["embed.code"], inputs.code_ids)
     state = EncoderState(h_enc=gru_sequence(emb_code, gru_weights(params, "enc_gru")))
     if config.encoder_kind == "smn":
+        # slots past the batch's last statement are pad steps of every hop,
+        # which leave the memory exactly as it is; keep at least one slot
+        filled = np.flatnonzero(inputs.stmt_lengths.any(axis=0))
+        used = int(filled[-1]) + 1 if filled.size else 1
+        stmt_ids, stmt_lengths = inputs.stmt_ids[:, :used], inputs.stmt_lengths[:, :used]
         if config.statement_encoding == "positional":
             p_matrix = positional_matrix(config.e_dim, config.y)
-            state.f = encode_statements_positional(inputs.stmt_ids, inputs.stmt_lengths,
+            state.f = encode_statements_positional(stmt_ids, stmt_lengths,
                                                    params["embed.code"], p_matrix)
         else:
-            state.f = encode_statements_eos(inputs.stmt_ids, inputs.stmt_lengths,
-                                            params["embed.code"],
+            state.f = encode_statements_eos(stmt_ids, stmt_lengths, params["embed.code"],
                                             gru_weights(params, "eos_gru"))
-        state.valid = inputs.stmt_lengths > 0
+        state.valid = stmt_lengths > 0
         if config.gate_query == "constant_q":
             q = constant(np.full((inputs.code_ids.shape[0], config.l_dim), config.q_fill))
             state.mem, state.gates = memory_hops(state.f, q, state.valid, config.h,
@@ -303,7 +307,9 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
         if collect_trace:
             if gate_values is None:
                 raise UsageError("the encoder state was built without collect_trace")
-            traces = [MemoryTrace(memories=mem.data[i].copy(), gates=gate_values[i].copy())
+            gates = np.zeros((b, config.h, config.n))              # trimmed pad slots read 0
+            gates[:, :, :gate_values.shape[2]] = gate_values
+            traces = [MemoryTrace(memories=mem.data[i].copy(), gates=gates[i])
                       for i in range(b)]
 
     parts.append(h_dec)

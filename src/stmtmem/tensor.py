@@ -157,17 +157,14 @@ def neg(a: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, as exp(min(x, 0)) over
-    # 1 + exp(-|x|), which never overflows. Written with few temporaries:
-    # allocating them costs more than the arithmetic at these shapes.
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e += 1.0
-    num = np.minimum(x, 0.0, out=out)
-    np.exp(num, out=num)
-    num /= e
-    return num
+    # 1/(1+e^-x) in four in-place calls: allocating temporaries costs more
+    # than the arithmetic at these shapes. Below x = -709 the exp overflows
+    # to inf and the value is exactly 0, so that overflow is not an error.
+    with np.errstate(over="ignore"):
+        y = np.negative(x, out=out)
+        np.exp(y, out=y)
+        y += 1.0
+        return np.reciprocal(y, out=y)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -267,11 +264,25 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids_arr.reshape(-1), g.reshape(-1, table.shape[1]))
+            width = table.shape[1]
+            flat_ids = ids_arr.reshape(-1, 1) * width + np.arange(width)
+            _scatter_add(table, flat_ids, g)
 
     return _make(out, (table,), backward)
+
+
+def _scatter_add(a: Tensor, flat_index: np.ndarray, g: np.ndarray) -> None:
+    """Add g into a's gradient at the flat positions `flat_index` (same
+    shape as g), repeats allowed. One 1-d np.add.at makes the additions of
+    the 2-d np.add.at over rows in the same order, so the sums are bitwise
+    the same; for 7,008 ids of width 16 it takes 0.36 ms with the index
+    built, against 1.4 ms."""
+    if a.grad is None:
+        a.grad = np.zeros(a.shape)
+    if not a.grad.flags.c_contiguous:
+        raise UsageError(f"scatter: gradient buffer of shape {a.shape} is not C-contiguous, "
+                         f"so it has no flat view")
+    np.add.at(a.grad.reshape(-1), flat_index.reshape(-1), g.reshape(-1))
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -390,9 +401,7 @@ def gather_index(a: Tensor, index) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, (rows, ids), g)
+            _scatter_add(a, rows * a.shape[1] + ids, g)
 
     return _make(a.data[rows, ids], (a,), backward)
 
@@ -442,9 +451,13 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
     and keeps c or, given a gate [B, T], a*c + (1-a)*h with a = gate[:, t]:
     a 0/1 length mask freezes rows past their length, and a differentiable
     gate is the episodic memory's update. One tape node: the input products
-    of all steps are one matrix product (Appleyard et al., arXiv
-    1604.01946), the backward runs backpropagation through time in one
-    closure, and each weight gradient is one product over all steps."""
+    of all steps, biases included, are one batched product (Appleyard et
+    al., arXiv 1604.01946), and the backward runs backpropagation through
+    time in one closure. Inside, a step's values are [features, B], so the
+    carry to the previous step is one product against [uz | ur] and every
+    elementwise call runs over one contiguous block; each step computes its
+    own factors, which at these shapes is cheaper than a pass over all
+    steps at once."""
     xd = x.data
     b, steps, e = xd.shape if xd.ndim == 3 else (0, 0, 0)
     l = w.uz.shape[0]
@@ -456,83 +469,84 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
                              f"{[p.shape for p in w]}, gate {gate and gate.shape} and "
                              f"initial state {h0 and h0.shape} do not fit [B, T>0, e]")
     wz, uz, bz, wr, ur, br, wh, uh, bh = (part.data for part in w)
-    w_x = np.concatenate([wz, wr, wh], axis=1)                  # [e, 3l]
+    w_x = np.concatenate([wh, wz, wr], axis=1)                  # [e, 3l], columns [h~ | z | r]
     u_zr = np.concatenate([uz, ur], axis=1)                     # [l, 2l]
-    b_zr = np.concatenate([bz, br])
-    x_tm = xd.transpose(1, 0, 2).reshape(steps * b, e)          # time-major rows
-    xw = (x_tm @ w_x).reshape(steps, b, 3 * l)
-    xw_zr, xw_h = np.ascontiguousarray(xw[..., :2 * l]), np.ascontiguousarray(xw[..., 2 * l:])
-    if gate is not None:
-        a_tm = gate.data.T[:, :, None]                          # [T, B, 1]
-        keep_tm = -a_tm + 1.0
-    # steps write in place into slot t: a fresh array per value costs more
-    zrs, ozs, hbars, rhs = (np.empty((steps, b, k)) for k in (2 * l, l, l, l))
-    hs = np.empty((steps + 1, b, l))                            # hs[t]: state step t starts from
-    hs[0] = 0.0 if h0 is None else h0.data
+    x_fm = xd.transpose(1, 2, 0)                                # [T, e, B]
+    xw = np.matmul(w_x.T, x_fm)                                 # [T, 3l, B]
+    xw += np.concatenate([bh, bz, br])[:, None]
+    xw_h, xw_zr = xw[:, :l], xw[:, l:]
+    u_zr_t, uh_t = np.ascontiguousarray(u_zr.T), np.ascontiguousarray(uh.T)
+    a_fm = None if gate is None else gate.data.T[:, None, :]   # [T, 1, B]
+    zrs, hbars, rhs = (np.empty((steps, k, b)) for k in (2 * l, l, l))
+    zs, rs = zrs[:, :l], zrs[:, l:]
+    hs = np.empty((steps + 1, l, b))                            # hs[t]: state step t starts from
+    hs[0] = 0.0 if h0 is None else h0.data.T
     for t in range(steps):
-        h, zr, oz, hbar, rh, c = hs[t], zrs[t], ozs[t], hbars[t], rhs[t], hs[t + 1]
-        np.matmul(h, u_zr, out=zr)
+        h, zr, hbar, c = hs[t], zrs[t], hbars[t], hs[t + 1]
+        np.matmul(u_zr_t, h, out=zr)
         zr += xw_zr[t]
-        zr += b_zr
         _sigmoid_values(zr, out=zr)
-        z, r = zr[:, :l], zr[:, l:]
-        np.multiply(r, h, out=rh)
-        np.matmul(rh, uh, out=hbar)
+        np.multiply(rs[t], h, out=rhs[t])
+        np.matmul(uh_t, rhs[t], out=hbar)
         hbar += xw_h[t]
-        hbar += bh
         np.tanh(hbar, out=hbar)
-        np.subtract(1.0, z, out=oz)
-        np.multiply(z, h, out=c)
-        c += oz * hbar
-        if gate is not None:
-            c *= a_tm[t]
-            c += keep_tm[t] * h
+        np.subtract(h, hbar, out=c)                             # c = h~ + z*(h - h~)
+        c *= zs[t]
+        c += hbar
+        if a_fm is not None:                                    # h + a*(c - h)
+            c -= h
+            c *= a_fm[t]
+            c += h
 
     def backward(g):
-        # the factors that do not depend on the incoming gradient, all steps at once
-        h_prev = hs[:-1]
-        dzr = zrs * (1.0 - zrs)
-        d_z = (h_prev - hbars) * dzr[..., :l]                   # d c / d z-pre, per unit of dc
-        d_h = ozs * (1.0 - hbars * hbars)                       # d c / d h~-pre
-        d_r = h_prev * dzr[..., l:]                             # d (r*h) / d r-pre
-        z, r = np.ascontiguousarray(zrs[..., :l]), np.ascontiguousarray(zrs[..., l:])
-        if gate is not None:
-            ga = np.empty((steps, b))
-            c_minus_h = ozs * (hbars - h_prev)
-        gpre = np.empty((steps, 3, b, l))                       # gaz, gar, gah per step
-        g_tm = g.transpose(1, 0, 2)
-        carry = np.zeros((b, l))
+        gcs = np.ascontiguousarray(g.transpose(1, 2, 0))        # [T, l, B]; step t adds its carry
+        gpre = np.empty((steps, 3 * l, b))                      # pre-activation grads [h~ | z | r]
+        g_h, g_zr = gpre[:, :l], gpre[:, l:]
+        g_z, g_r = gpre[:, l:2 * l], gpre[:, 2 * l:]
+        carry, ozr = np.zeros((l, b)), np.empty((2 * l, b))
+        grh, gc_c, t1 = (np.empty((l, b)) for _ in range(3))
+        oz, orr = ozr[:l], ozr[l:]
         for t in reversed(range(steps)):
-            gc = g_tm[t] + carry
-            if gate is not None:
-                ga[t] = np.sum(gc * c_minus_h[t], axis=1)
-                kept = gc * keep_tm[t]
-                gc *= a_tm[t]
-            g_z, g_r, g_h = gpre[t]
-            np.multiply(gc, d_z[t], out=g_z)
-            np.multiply(gc, d_h[t], out=g_h)
-            grh = g_h @ uh.T
-            np.multiply(grh, d_r[t], out=g_r)
-            carry = g_z @ uz.T + g_r @ ur.T + gc * z[t] + grh * r[t]
-            if gate is not None:
-                carry += kept
-        flat = gpre.transpose(0, 2, 1, 3).reshape(steps * b, 3 * l)   # rows as in x_tm
+            h, z, hbar, gc = hs[t], zs[t], hbars[t], gcs[t]
+            gc += carry                                         # d loss / d (state after step t)
+            if a_fm is not None:                                # d loss / d c
+                gc = np.multiply(gcs[t], a_fm[t], out=gc_c)
+            np.subtract(1.0, zrs[t], out=ozr)
+            oz *= gc                                            # gc (1 - z), and orr = 1 - r
+            np.multiply(hbar, hbar, out=t1)
+            np.subtract(1.0, t1, out=t1)
+            np.multiply(oz, t1, out=g_h[t])
+            np.subtract(h, hbar, out=t1)
+            t1 *= oz
+            np.multiply(t1, z, out=g_z[t])
+            np.matmul(uh, g_h[t], out=grh)                      # d loss / d (r*h)
+            np.multiply(grh, rhs[t], out=t1)
+            np.multiply(t1, orr, out=g_r[t])
+            np.matmul(u_zr, g_zr[t], out=carry)
+            np.multiply(gc, z, out=t1)
+            carry += t1
+            np.multiply(grh, rs[t], out=t1)
+            carry += t1
+            if a_fm is not None:                                # the (1-a) h share
+                carry += gcs[t]
+                carry -= gc
         if x.requires_grad:
-            x._accumulate((flat @ w_x.T).reshape(steps, b, e).transpose(1, 0, 2))
-        gw_z, gw_r, gw_h = np.split(x_tm.T @ flat, 3, axis=1)
-        gu_z, gu_r = np.split(h_prev.reshape(steps * b, l).T @ flat[:, :2 * l], 2, axis=1)
-        gu_h = rhs.reshape(steps * b, l).T @ flat[:, 2 * l:]
-        gb_z, gb_r, gb_h = np.split(flat.sum(axis=0), 3)
+            x._accumulate(np.matmul(w_x, gpre).transpose(2, 0, 1))
+        # each weight gradient: one batched product over the steps, summed
+        gw_h, gw_z, gw_r = np.split(np.matmul(x_fm, gpre.transpose(0, 2, 1)).sum(0), 3, axis=1)
+        gu_z, gu_r = np.split(np.matmul(hs[:-1], g_zr.transpose(0, 2, 1)).sum(0), 2, axis=1)
+        gu_h = np.matmul(rhs, g_h.transpose(0, 2, 1)).sum(0)
+        gb_h, gb_z, gb_r = np.split(gpre.sum(axis=(0, 2)), 3)
         for part, grad in zip(w, (gw_z, gu_z, gb_z, gw_r, gu_r, gb_r, gw_h, gu_h, gb_h)):
             if part.requires_grad:
                 part._accumulate(grad)
         if h0 is not None and h0.requires_grad:
-            h0._accumulate(carry)
-        if gate is not None and gate.requires_grad:
-            gate._accumulate(ga.T)
+            h0._accumulate(carry.T)
+        if gate is not None and gate.requires_grad:             # d/da = c - h = (1-z)(h~ - h)
+            gate._accumulate(np.sum(gcs * (1.0 - zs) * (hbars - hs[:-1]), axis=1).T)
 
     parents = (x, *w) + tuple(p for p in (gate, h0) if p is not None)
-    return _make(hs[1:].transpose(1, 0, 2).copy(), parents, backward)
+    return _make(hs[1:].transpose(2, 0, 1).copy(), parents, backward)
 
 
 def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:

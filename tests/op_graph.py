@@ -5,7 +5,8 @@ tape node each, with hand-written backwards. The step loops and graphs of
 elementwise tape ops below compute the same functions one op per node, so
 their values and gradients must agree with the kernels' up to the order of
 float sums. The elementwise ops those graphs need, and the model does not,
-live here rather than in the package.
+live here rather than in the package, as do the earlier forms of two
+kernels: the two-branch sigmoid and the 2-d np.add.at scatters.
 """
 
 import numpy as np
@@ -50,6 +51,38 @@ def tanh(a):
             a._accumulate(g * (1.0 - y * y))
 
     return T._make(y, (a,), backward)
+
+
+def sigmoid_two_branch(x):
+    """The sigmoid as 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, written
+    exp(min(x, 0)) / (1 + exp(-|x|)) so that no exp overflows."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def embedding_lookup(table, ids):
+    """Rows of a [V, E] table whose backward scatters with a 2-d np.add.at."""
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def backward(g):
+        if table.requires_grad:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+
+    return T._make(table.data[ids], (table,), backward)
+
+
+def gather_index(a, index):
+    """One entry per row of a [B, v] matrix; the backward is a 2-d np.add.at."""
+    rows, ids = np.arange(a.shape[0]), np.asarray(index, dtype=np.int64)
+
+    def backward(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, (rows, ids), g)
+
+    return T._make(a.data[rows, ids], (a,), backward)
 
 
 def sigmoid(a):

@@ -381,6 +381,24 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1 and "non-finite" in err
         assert "Traceback" not in err
 
+    def test_overflowing_parameters_exit_2_without_numpy_warnings(self, pipeline):
+        # weights this large overflow in the first products; numpy's
+        # RuntimeWarnings must not reach stderr ahead of the one line
+        root, path = pipeline
+        config, params = load_checkpoint(str(root / "model.ckpt"))
+        for _, param in params.items():
+            param.data *= 1e160
+        huge = str(root / "huge.ckpt")
+        save_checkpoint(huge, config, params)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-m", "stmtmem.cli", "predict", "--config", path,
+                               "--checkpoint", huge, "--out", str(root / "huge.preds")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 2
+        assert len(done.stderr.splitlines()) == 1 and "non-finite" in done.stderr
+        assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+
     def test_code_vocabulary_mismatch_is_usage_error(self, pipeline, capsys):
         root, _ = pipeline
         tokens = (root / "code.vocab").read_text(encoding="utf-8").splitlines()

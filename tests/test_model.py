@@ -271,6 +271,22 @@ class TestMemoryHops:
         m_ba = one_sample_hops(np.vstack([b, a]), q, 1, w, 2).memories
         assert not np.allclose(m_ab, m_ba)
 
+    @pytest.mark.parametrize("squash", ["none", "sigmoid"])
+    def test_trailing_pad_slots_change_nothing(self, squash):
+        # encode drops the slots past the batch's last statement; the hops
+        # over the trimmed statements give the same bytes
+        rng = np.random.default_rng(29)
+        w = random_gru_weights(rng, 4, 4)
+        f = rng.uniform(-2, 2, (4, 6, 4))
+        q = T.constant(rng.uniform(-1, 1, (4, 4)))
+        valid = np.arange(6) < np.array([3, 1, 0, 2])[:, None]
+        mem, gates = memory_hops(T.constant(f), q, valid, 3, w, squash, collect_gates=True)
+        mem_k, gates_k = memory_hops(T.constant(f[:, :3]), q, valid[:, :3], 3, w, squash,
+                                     collect_gates=True)
+        assert mem.data.tobytes() == mem_k.data.tobytes()
+        assert gates[..., :3].tobytes() == gates_k.tobytes()
+        assert gates_k.any() and not gates[..., 3:].any()
+
     def test_hops_must_be_positive(self):
         w = self.weights()
         with pytest.raises(UsageError):
@@ -343,10 +359,15 @@ class TestForward:
     def test_memory_trace_exposed_on_request(self):
         cfg = toy_config()
         rng = np.random.default_rng(1)
-        out = forward(toy_sample(cfg, rng), init_params(cfg), cfg, collect_trace=True)
+        sample = toy_sample(replace(cfg, n=cfg.n - 1), rng)    # the last slot stays empty
+        sample.statements.ids = np.vstack([sample.statements.ids, np.zeros((1, cfg.y), np.int64)])
+        sample.statements.lengths = np.append(sample.statements.lengths, 0)
+        out = forward(sample, init_params(cfg), cfg, collect_trace=True)
         assert isinstance(out.trace, MemoryTrace)
         assert out.trace.memories.shape == (cfg.h, cfg.l_dim)
         assert out.trace.gates.shape == (cfg.h, cfg.n)
+        count = sample.statements.statement_count
+        assert out.trace.gates[:, :count].all() and not out.trace.gates[:, count:].any()
 
     def test_attendgru_has_no_trace(self):
         cfg = replace(toy_config(), encoder_kind="attendgru_only")
@@ -403,7 +424,9 @@ def reference_attendgru(inputs: ModelInputs, params, config) -> np.ndarray:
 
 
 class TestSubmodelConsistency:
-    def test_attendgru_only_matches_reference_bitwise(self):
+    def test_attendgru_only_matches_reference(self):
+        # the kernel adds the biases and blends the states in another order
+        # than the textbook formula below, so the two agree within 1e-12
         cfg = replace(toy_config(), encoder_kind="attendgru_only")
         params = init_params(cfg)
         rng = np.random.default_rng(31)
@@ -412,7 +435,7 @@ class TestSubmodelConsistency:
         with T.no_grad():
             mine, _ = _forward_batch(inputs, params, cfg)
         theirs = reference_attendgru(inputs, params, cfg)
-        assert mine.data.tobytes() == theirs.tobytes()
+        assert_within(mine.data, theirs)
 
 
 def assert_within(mine, theirs, rel=1e-12):

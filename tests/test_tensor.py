@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,30 @@ class TestElementwise:
 
     def test_sigmoid_at_zero(self):
         assert op_graph.sigmoid(T.constant([0.0])).data[0] == 0.5
+
+    def sigmoid_inputs(self):
+        edges = np.arange(709.0, 746.0)
+        return np.concatenate([np.linspace(-1000.0, 1000.0, 20001), edges, -edges,
+                               [0.0, -0.0, 709.5, -709.5, 745.5, -745.5]])
+
+    def test_sigmoid_is_finite_bounded_and_silent(self):
+        x = self.sigmoid_inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = T._sigmoid_values(x.copy())
+            into = np.empty_like(x)
+            assert T._sigmoid_values(x, out=into) is into
+        assert np.isfinite(y).all() and (y >= 0.0).all() and (y <= 1.0).all()
+        assert y[x < -745].max() == 0.0 and y[x > 40].min() == 1.0
+        np.testing.assert_array_equal(into, y)
+
+    def test_sigmoid_matches_two_branch_form(self):
+        x = self.sigmoid_inputs()
+        y = T._sigmoid_values(x.copy())
+        old = op_graph.sigmoid_two_branch(x)
+        kept = old > 1e-300
+        assert kept.sum() > 15000
+        assert (np.abs(y[kept] - old[kept]) <= 1e-15 * old[kept]).all()
 
     def test_abs_definition_and_zero_subgradient(self):
         x = leaf([-0.1, 0.0])
@@ -172,6 +197,43 @@ class TestEmbeddingLookup:
     def test_out_of_range_id_reported(self):
         with pytest.raises(VocabularyError, match="7"):
             T.embedding_lookup(T.constant(np.ones((4, 3))), [1, 7])
+
+    def test_flat_scatters_match_2d_add_at_bitwise(self):
+        # values spread over 24 orders of magnitude, so that adding in
+        # another order would change the low bits; ids repeat, one table
+        # is read by two lookups (as embed.code is by the code and by the
+        # statements), and two gathers pick from one matrix
+        rng = np.random.default_rng(5)
+        spread = lambda shape: rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, shape)
+        table, probs = spread((7, 4)), spread((6, 9))
+        code_ids = rng.integers(0, 7, (6, 30))
+        stmt_ids = rng.integers(0, 3, (6, 5, 4))
+        picks = [rng.integers(0, 9, 6), rng.integers(0, 9, 6)]
+        w_code, w_stmt = spread((6, 30, 4)), spread((6, 5, 4, 4))
+        w_pick = [spread(6), spread(6)]
+        grads = []
+        for lookup, gather in ((T.embedding_lookup, T.gather_index),
+                               (op_graph.embedding_lookup, op_graph.gather_index)):
+            tab, pr = leaf(table), leaf(probs)
+            terms = [T.mul(lookup(tab, code_ids), T.constant(w_code)),
+                     T.mul(lookup(tab, stmt_ids), T.constant(w_stmt))]
+            terms += [T.mul(gather(pr, p), T.constant(w)) for p, w in zip(picks, w_pick)]
+            loss = T.sum_all(terms[0])
+            for term in terms[1:]:
+                loss = T.add(loss, T.sum_all(term))
+            loss.backward()
+            grads.append((tab.grad, pr.grad))
+        (mine_tab, mine_pr), (ref_tab, ref_pr) = grads
+        assert mine_tab.tobytes() == ref_tab.tobytes()
+        assert mine_pr.tobytes() == ref_pr.tobytes()
+        assert np.count_nonzero(ref_tab) == 28 and np.count_nonzero(ref_pr) > 6
+
+    def test_scatter_needs_a_contiguous_gradient(self):
+        table = leaf(np.ones((4, 3)))
+        table.grad = np.zeros((3, 4)).T                         # a view with no flat form
+        out = T.embedding_lookup(table, [1, 2])
+        with pytest.raises(UsageError, match="C-contiguous"):
+            T.sum_all(out).backward()
 
 
 class TestGRUCell:
