@@ -21,7 +21,7 @@ from .corpus import (
 )
 from .decoding import LoadedModel, PredictionRecord, ensemble_distribution, greedy_decode
 from .metrics import bleu_corpus, difference_set, improved_set, meteor
-from .model import ForwardOutput, MemoryTrace, forward, init_params, positional_matrix
+from .model import forward, init_params, positional_matrix
 from .params import AdamState, ParameterSet, adam_step, load_checkpoint, save_checkpoint
 from .stats import paired_t_test
 from .synthetic import SyntheticSpec, generate_synthetic_corpus
@@ -34,9 +34,7 @@ __all__ = [
     "AdamState",
     "EncodedSample",
     "EpochReport",
-    "ForwardOutput",
     "LoadedModel",
-    "MemoryTrace",
     "ModelConfig",
     "ParameterSet",
     "PredictionRecord",

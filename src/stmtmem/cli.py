@@ -100,6 +100,9 @@ class SplitSpec:
             raise ConfigError(f"split ratios must sum to 1, got {sum(self.ratios)}")
         if self.min_statements < 1:
             raise ConfigError(f"min_statements must be >= 1, got {self.min_statements}")
+        bad = [i for i in self.exclude_ids if not isinstance(i, str)]
+        if bad:
+            raise ConfigError(f"split exclude_ids must be sample id strings, got {bad[0]!r}")
         return self
 
     @classmethod
@@ -123,6 +126,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

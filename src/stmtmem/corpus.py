@@ -43,11 +43,10 @@ class Sample:
 class Vocabulary:
     """Token <-> id bijection with fixed reserved ids 0..3."""
 
-    def __init__(self, id_to_token: Sequence[str], max_size: int):
+    def __init__(self, id_to_token: Sequence[str]):
         if tuple(id_to_token[:4]) != RESERVED_TOKENS:
             raise UsageError(f"vocabulary must start with the reserved tokens {RESERVED_TOKENS}")
         self.id_to_token = list(id_to_token)
-        self.max_size = int(max_size)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             duplicate = next(tok for i, tok in enumerate(self.id_to_token)
@@ -77,7 +76,7 @@ class Vocabulary:
         if tokens and tokens[-1] == "":
             tokens.pop()
         try:
-            return cls(tokens, max_size=len(tokens))
+            return cls(tokens)
         except UsageError as exc:
             raise DataError(f"{path}: {exc}") from exc
 
@@ -100,7 +99,7 @@ def build_vocab(samples: Sequence[Sample], max_size: int, field: str) -> Vocabul
         raise UsageError("empty corpus: no tokens to build a vocabulary from")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [token for token, _ in ranked[: max_size - 4]]
-    return Vocabulary(list(RESERVED_TOKENS) + kept, max_size=max_size)
+    return Vocabulary(list(RESERVED_TOKENS) + kept)
 
 
 @dataclass

@@ -17,7 +17,7 @@ An empty prediction leaves the second field empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +36,7 @@ from .corpus import (
     write_text,
 )
 from .errors import DimensionError, UsageError
-from .model import EncoderState, MemoryTrace, batch_inputs, encode, head, prefix_row
-# Not called: benchmarks/tracing.py hooks this name to count the full
-# forwards decoding makes, which is none since it encodes once per sample.
-from .model import forward  # noqa: F401
+from .model import EncoderState, batch_inputs, encode, forward, head, prefix_row
 from .params import ParameterSet
 from .tensor import no_grad
 
@@ -53,28 +50,26 @@ class LoadedModel:
     params: ParameterSet
     config: ModelConfig
 
-    def encode(self, encoded: Sequence[EncodedSample],
-               collect_trace: bool = False) -> EncoderState:
+    def encode(self, encoded: Sequence[EncodedSample]) -> EncoderState:
         """The samples' prefix-independent state, one row per sample."""
         inputs = batch_inputs(encoded)
         with no_grad():
-            return encode(inputs, self.params, self.config,
-                          collect_trace=collect_trace).select(inputs.rows)
+            return encode(inputs, self.params, self.config).select(inputs.rows)
 
-    def next_dist(self, state: EncoderState, prefixes,
-                  collect_trace: bool = False) -> tuple[np.ndarray, list[MemoryTrace] | None]:
-        """Next-word distributions [B, v] after each row's prefix."""
+    def next_dist(self, state: EncoderState,
+                  prefixes) -> tuple[np.ndarray, np.ndarray | None]:
+        """Next-word distributions [B, v] after each row's prefix, and the
+        gates [B, h, n] (None without the memory branch)."""
         rows = np.stack([prefix_row(p, self.config.comlen) for p in prefixes])
         with no_grad():
-            dists, traces = head(state, rows, self.params, self.config,
-                                 collect_trace=collect_trace)
-        return dists.data, traces
+            dists, gates = head(state, rows, self.params, self.config)
+        return dists.data, gates
 
-    def predict_dist(self, encoded: EncodedSample, prefix_ids,
-                     collect_trace: bool = False) -> tuple[np.ndarray, MemoryTrace | None]:
-        dists, traces = self.next_dist(self.encode([encoded], collect_trace), [prefix_ids],
-                                       collect_trace)
-        return dists[0].copy(), traces[0] if traces else None
+    def predict_dist(self, encoded: EncodedSample,
+                     prefix_ids) -> tuple[np.ndarray, np.ndarray | None]:
+        """The one-sample forward pass after `prefix_ids`."""
+        row = prefix_row(prefix_ids, self.config.comlen)
+        return forward(replace(encoded, summary_ids=row), self.params, self.config)
 
 
 @dataclass
@@ -126,27 +121,23 @@ def _check_models(models, vocab: Vocabulary) -> ModelConfig:
     return first
 
 
-def _decode_lockstep(models, per_model, vocab: Vocabulary,
-                     collect_trace: bool) -> tuple[list[list[str]], list[MemoryTrace | None]]:
+def _decode_lockstep(models, per_model,
+                     vocab: Vocabulary) -> tuple[list[list[str]], np.ndarray | None]:
     """Greedy-decode S samples together; `per_model[i]` holds member i's
-    encodings of them. Returns each sample's tokens and, when requested,
-    its first-step memory trace from the first member."""
+    encodings of them. Returns each sample's tokens and the first member's
+    first-step gates [S, h, n] (None without the memory branch)."""
     config = _check_models(models, vocab)
-    states = [m.encode(encs, collect_trace=collect_trace and index == 0)
-              for index, (m, encs) in enumerate(zip(models, per_model))]
+    states = [m.encode(encs) for m, encs in zip(models, per_model)]
     live = list(range(len(per_model[0])))     # the sample decoded in each state row
     prefixes = [[BOS_ID] for _ in live]
     tokens: list[list[str]] = [[] for _ in live]
-    traces: list[MemoryTrace | None] = [None] * len(live)
+    gates = None
     for step in range(min(MAX_GENERATED, config.comlen - 1)):
-        member_dists = []
-        for index, (m, state) in enumerate(zip(models, states)):
-            want_trace = collect_trace and step == 0 and index == 0
-            dists, step_traces = m.next_dist(state, [prefixes[s] for s in live],
-                                             collect_trace=want_trace)
-            if step_traces:
-                traces = step_traces
-            member_dists.append(dists)
+        outputs = [m.next_dist(state, [prefixes[s] for s in live])
+                   for m, state in zip(models, states)]
+        member_dists = [dists for dists, _ in outputs]
+        if step == 0:
+            gates = outputs[0][1]
         kept = []
         for row, s in enumerate(live):
             masked = ensemble_distribution([d[row] for d in member_dists])
@@ -161,11 +152,11 @@ def _decode_lockstep(models, per_model, vocab: Vocabulary,
         if len(kept) < len(live):
             states = [state.select(kept) for state in states]
             live = [live[row] for row in kept]
-    return tokens, traces
+    return tokens, gates
 
 
-def greedy_decode(models, encoded, vocab: Vocabulary,
-                  collect_trace: bool = False) -> tuple[PredictionRecord, MemoryTrace | None]:
+def greedy_decode(models, encoded,
+                  vocab: Vocabulary) -> tuple[PredictionRecord, np.ndarray | None]:
     """Decode one sample: start from [<s>]; at each step average every
     model's next-word distribution, take the argmax (ties to the lowest id),
     stop on </s> or after 12 generated tokens. Reserved non-terminal ids are
@@ -173,8 +164,8 @@ def greedy_decode(models, encoded, vocab: Vocabulary,
     predict_corpus runs over chunks.
 
     `encoded` is one EncodedSample shared by all members, or one per member
-    when their code-side shapes differ. Returns the record plus the first
-    decode step's memory trace of the first member when requested.
+    when their code-side shapes differ. Returns the record and the first
+    member's first-step gates [h, n] (None without the memory branch).
     """
     if isinstance(encoded, EncodedSample):
         per_model = [encoded] * len(models)
@@ -182,9 +173,9 @@ def greedy_decode(models, encoded, vocab: Vocabulary,
         per_model = list(encoded)
         if len(per_model) != len(models):
             raise UsageError(f"got {len(per_model)} encodings for {len(models)} models")
-    tokens, traces = _decode_lockstep(models, [[enc] for enc in per_model], vocab,
-                                      collect_trace)
-    return PredictionRecord(per_model[0].sample_id, tokens[0]), traces[0]
+    tokens, gates = _decode_lockstep(models, [[enc] for enc in per_model], vocab)
+    record = PredictionRecord(per_model[0].sample_id, tokens[0])
+    return record, None if gates is None else gates[0]
 
 
 def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
@@ -192,8 +183,8 @@ def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
                    dump_gates_path: str | None = None) -> list[PredictionRecord]:
     """Decode every sample in input order, CHUNK_SAMPLES at a time in
     lockstep, and write the prediction file; optionally dump the first
-    decode step's memory trace per sample (one line per hop: sample_id, hop
-    index, n gate values)."""
+    member's first-step gates per sample (one line per hop: sample_id, hop
+    index, n gate values; no lines without the memory branch)."""
     for m in models:
         if m.config.code_vocab_size != len(code_vocab):
             raise UsageError(
@@ -206,13 +197,12 @@ def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
         chunk = samples[start:start + CHUNK_SAMPLES]
         per_model = [[encode_sample(s, code_vocab, sum_vocab, m.config) for s in chunk]
                      for m in models]
-        tokens, traces = _decode_lockstep(models, per_model, sum_vocab,
-                                          collect_trace=dump_gates_path is not None)
-        for sample, sample_tokens, trace in zip(chunk, tokens, traces):
-            records.append(PredictionRecord(sample.sample_id, sample_tokens))
-            if trace is not None:
-                for hop in range(trace.gates.shape[0]):
-                    values = " ".join(f"{v:.6f}" for v in trace.gates[hop])
+        tokens, gates = _decode_lockstep(models, per_model, sum_vocab)
+        records += [PredictionRecord(s.sample_id, t) for s, t in zip(chunk, tokens)]
+        if dump_gates_path is not None and gates is not None:
+            for sample, sample_gates in zip(chunk, gates):
+                for hop, row in enumerate(sample_gates):
+                    values = " ".join(f"{v:.6f}" for v in row)
                     gate_lines.append(f"{sample.sample_id}\t{hop}\t{values}")
     write_predictions(out_path, records)
     if dump_gates_path is not None:

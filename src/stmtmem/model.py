@@ -53,20 +53,6 @@ from .tensor import (
     transpose_last2,
 )
 
-@dataclass
-class MemoryTrace:
-    """Per-hop memory vectors and per-statement gate values (pad slots 0)."""
-
-    memories: np.ndarray   # [h, l_dim]
-    gates: np.ndarray      # [h, n]
-
-
-@dataclass
-class ForwardOutput:
-    next_word_dist: np.ndarray          # [v], sums to 1
-    trace: MemoryTrace | None = None
-
-
 def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     e, l = config.e_dim, config.l_dim
     specs: list[tuple[str, tuple[int, ...], str]] = [
@@ -202,8 +188,7 @@ def encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
 
 
 def memory_hops(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
-                w: GRUWeights, gate_squash: str,
-                collect_gates: bool = False) -> tuple[Tensor, np.ndarray | None]:
+                w: GRUWeights, gate_squash: str) -> tuple[Tensor, np.ndarray]:
     """Run `hops` episodes over the statements [B, n, d]. Within a hop the
     episode memory m starts at zero and each statement t applies
 
@@ -211,21 +196,20 @@ def memory_hops(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
 
     with every g_t of a hop gated against the previous hop's final memory
     (hop 1 against the zero memory), so a pad statement (valid [B, n] false)
-    leaves m as it is. Returns the memory stack [B, hops, d] and, when
-    `collect_gates`, the gates a [B, hops, n] (pad slots 0)."""
+    leaves m as it is. Returns the memory stack [B, hops, d] and the gates
+    a [B, hops, n] (pad slots 0)."""
     if hops < 1:
         raise UsageError(f"hops must be >= 1, got {hops}")
     b, n, d = f.shape
     mask = constant(valid.astype(np.float64))
     m = constant(np.zeros((b, d)))
     memories = []
-    gates = np.zeros((b, hops, n)) if collect_gates else None
+    gates = np.zeros((b, hops, n))
     for i in range(hops):
         a = mul(episodic_gate(f, q, m, gate_squash == "sigmoid"), mask)   # [B, n]
         m = slice_axis(gru_sequence(f, w, gate=a), 1, n - 1)          # [B, d]
         memories.append(m)
-        if collect_gates:
-            gates[:, i] = np.where(valid, a.data, 0.0)
+        gates[:, i] = np.where(valid, a.data, 0.0)
     return reshape(concat(memories, 1), (b, hops, d)), gates
 
 
@@ -238,7 +222,7 @@ class EncoderState:
     f: Tensor | None = None             # [B, k, d] statement vectors (smn), k <= n used slots
     valid: np.ndarray | None = None     # [B, k] real-statement mask (smn)
     mem: Tensor | None = None           # [B, h, d] memory stack (constant_q)
-    gates: np.ndarray | None = None     # [B, h, k] gate values (constant_q, when collected)
+    gates: np.ndarray | None = None     # [B, h, k] gate values (constant_q)
 
     def select(self, rows: Sequence[int]) -> "EncoderState":
         """The state of batch rows `rows` alone, in that order; a row may
@@ -250,8 +234,7 @@ class EncoderState:
         return EncoderState(*(pick(getattr(self, f.name)) for f in fields(self)))
 
 
-def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
-           collect_trace: bool = False) -> EncoderState:
+def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig) -> EncoderState:
     """Code-GRU states and statement vectors of a batch (its summary slots
     are not read). Under the constant_q query the memory stack does not
     depend on the prefix either, so it is computed here too."""
@@ -275,22 +258,23 @@ def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
             q = constant(np.full((inputs.code_ids.shape[0], config.l_dim), config.q_fill))
             state.mem, state.gates = memory_hops(state.f, q, state.valid, config.h,
                                                  gru_weights(params, "episodic_gru"),
-                                                 config.gate_squash, collect_trace)
+                                                 config.gate_squash)
     return state
 
 
 def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
-         config: ModelConfig,
-         collect_trace: bool = False) -> tuple[Tensor, list[MemoryTrace] | None]:
+         config: ModelConfig) -> tuple[Tensor, np.ndarray | None]:
     """Decoder GRU over the prefix-form summaries [B, comlen], attention over
     the code states and the memory stack, and the output layer; returns the
-    [B, v] next-word distributions. Under the summary_vector query the
-    memory hops run here, gated against the decoder's final state."""
+    [B, v] next-word distributions and the gates [B, h, n] (pad and trimmed
+    slots 0; None without the memory branch). Under the summary_vector
+    query the memory hops run here, gated against the decoder's final
+    state."""
     b = summary_ids.shape[0]
     emb_sum = embedding_lookup(params["embed.summary"], summary_ids)
     h_dec = gru_sequence(emb_sum, gru_weights(params, "dec_gru"))          # [B, C, l]
 
-    traces = None
+    gates = None
     parts = []
     attn_code = softmax(matmul(h_dec, transpose_last2(state.h_enc)), axis=-1)
     parts.append(matmul(attn_code, state.h_enc))                            # ctx over code
@@ -301,16 +285,11 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
             q = slice_axis(h_dec, 1, config.comlen - 1)                     # decoder final state
             mem, gate_values = memory_hops(state.f, q, state.valid, config.h,
                                            gru_weights(params, "episodic_gru"),
-                                           config.gate_squash, collect_trace)
+                                           config.gate_squash)
         attn_mem = softmax(matmul(h_dec, transpose_last2(mem)), axis=-1)
         parts.append(matmul(attn_mem, mem))                                 # ctx over memories
-        if collect_trace:
-            if gate_values is None:
-                raise UsageError("the encoder state was built without collect_trace")
-            gates = np.zeros((b, config.h, config.n))              # trimmed pad slots read 0
-            gates[:, :, :gate_values.shape[2]] = gate_values
-            traces = [MemoryTrace(memories=mem.data[i].copy(), gates=gates[i])
-                      for i in range(b)]
+        gates = np.zeros((b, config.h, config.n))                  # trimmed pad slots read 0
+        gates[:, :, :gate_values.shape[2]] = gate_values
 
     parts.append(h_dec)
     context = concat(parts, 2)
@@ -319,28 +298,27 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
     flat = reshape(proj, (b, config.comlen * config.projection_dim))
     logits = add(matmul(flat, params["out.w"]),
                  broadcast_to(params["out.b"], (b, config.summary_vocab_size)))
-    return softmax(logits, axis=-1), traces
+    return softmax(logits, axis=-1), gates
 
 
-def _forward_batch(inputs: ModelInputs, params: ParameterSet, config: ModelConfig,
-                   collect_trace: bool = False) -> tuple[Tensor, list[MemoryTrace] | None]:
+def _forward_batch(inputs: ModelInputs, params: ParameterSet,
+                   config: ModelConfig) -> tuple[Tensor, np.ndarray | None]:
     """Batched forward pass: encode each distinct sample once, expand the
     state to the batch rows, and run the head on them; returns the [B, v]
-    next-word distributions."""
-    state = encode(inputs, params, config, collect_trace).select(inputs.rows)
-    return head(state, inputs.summary_ids, params, config, collect_trace)
+    next-word distributions and the [B, h, n] gates (see `head`)."""
+    state = encode(inputs, params, config).select(inputs.rows)
+    return head(state, inputs.summary_ids, params, config)
 
 
-def forward(encoded: EncodedSample, params: ParameterSet, config: ModelConfig,
-            collect_trace: bool = False) -> ForwardOutput:
-    """Next-word distribution for one sample whose summary slots hold the
-    prefix generated so far (pad after the prefix)."""
+def forward(encoded: EncodedSample, params: ParameterSet,
+            config: ModelConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Next-word distribution [v] for one sample whose summary slots hold
+    the prefix generated so far (pad after the prefix), and its gates
+    [h, n] (None without the memory branch)."""
     if encoded.summary_ids.shape != (config.comlen,):
         raise UsageError(
             f"summary prefix shape {encoded.summary_ids.shape} does not match comlen {config.comlen}"
         )
     with no_grad():
-        dists, traces = _forward_batch(batch_inputs([encoded]), params, config,
-                                       collect_trace=collect_trace)
-    return ForwardOutput(next_word_dist=dists.data[0].copy(),
-                         trace=traces[0] if traces else None)
+        dists, gates = _forward_batch(batch_inputs([encoded]), params, config)
+    return dists.data[0].copy(), None if gates is None else gates[0]

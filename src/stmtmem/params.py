@@ -13,6 +13,9 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = "stmtmem-checkpoint"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class ParameterSet:
@@ -72,42 +75,39 @@ def glorot_init(rng: np.random.Generator, shape) -> np.ndarray:
 class AdamState:
     """Adam moment buffers bound to one ParameterSet."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def bind(cls, params: ParameterSet, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def bind(cls, params: ParameterSet) -> "AdamState":
+        state = cls()
         for name, tensor in params.items():
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
         return state
 
 
-def adam_step(params: ParameterSet, state: AdamState) -> None:
-    """Bias-corrected Adam update in place; clears gradients afterwards."""
+def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update with step size `lr` in place (moment decays
+    ADAM_BETA1 and ADAM_BETA2, ADAM_EPSILON in the denominator); clears
+    gradients afterwards."""
     if set(state.m) != set(params.names()):
         raise UsageError("adam state is not bound to this parameter set")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
             raise UsageError(f"adam_step: parameter {name!r} has no gradient")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
     params.zero_grads()
 
 

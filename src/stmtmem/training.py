@@ -105,7 +105,7 @@ def clip_gradients(params: ParameterSet, max_norm: float) -> None:
 
 
 def train(train_set: Sequence[EncodedSample], val_set: Sequence[EncodedSample],
-          config: ModelConfig, max_epochs: int, lr: float = LEARNING_RATE,
+          config: ModelConfig, max_epochs: int,
           stop_at_accuracy: float | None = None,
           ) -> tuple[ParameterSet, list[EpochReport]]:
     """Train from a fresh seeded init; returns the best checkpoint and the
@@ -114,7 +114,7 @@ def train(train_set: Sequence[EncodedSample], val_set: Sequence[EncodedSample],
     if not train_set or not val_set:
         raise UsageError("train: empty training or validation set")
     params = init_params(config)
-    adam = AdamState.bind(params, lr=lr)
+    adam = AdamState.bind(params)
     train_pairs = [p for s in train_set for p in expand_pairs(s)]
     val_pairs = [p for s in val_set for p in expand_pairs(s)]
     shuffle_rng = np.random.default_rng([config.rng_seed, 0x5F])
@@ -132,7 +132,7 @@ def train(train_set: Sequence[EncodedSample], val_set: Sequence[EncodedSample],
             loss.backward()
             if config.grad_clip is not None:
                 clip_gradients(params, config.grad_clip)
-            adam_step(params, adam)
+            adam_step(params, adam, LEARNING_RATE)
             loss_sum += loss.item() * len(chunk)
         val_acc, val_loss = evaluate_next_token(val_pairs, params, config)
         reports.append(EpochReport(epoch, loss_sum / len(train_pairs), val_acc, val_loss))

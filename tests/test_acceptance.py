@@ -68,34 +68,34 @@ def test_criterion_3_memory_invariants():
     rng = np.random.default_rng(33)
     w = random_gru_weights(rng, 3, 3)
 
-    trace = one_sample_hops(np.zeros((4, 3)), np.zeros(3), 3, w, statement_count=4)
-    assert not trace.memories.any() and not trace.gates.any()
+    memories, gates = one_sample_hops(np.zeros((4, 3)), np.zeros(3), 3, w, statement_count=4)
+    assert not memories.any() and not gates.any()
 
     for hops in (1, 2, 3, 4, 5):
-        t = one_sample_hops(rng.uniform(-1, 1, (2, 3)), np.full(3, 0.1), hops, w,
-                            statement_count=2)
-        assert t.memories.shape == (hops, 3)
+        memories, _ = one_sample_hops(rng.uniform(-1, 1, (2, 3)), np.full(3, 0.1), hops, w,
+                                      statement_count=2)
+        assert memories.shape == (hops, 3)
 
     for _ in range(1000):
         real = rng.uniform(-2, 2, (2, 3))
         q = rng.uniform(-1, 1, 3)
         f_a = np.vstack([real, rng.uniform(-9, 9, (2, 3))])
         f_b = np.vstack([real, rng.uniform(-9, 9, (2, 3))[::-1]])
-        t_a = one_sample_hops(f_a, q, 2, w, statement_count=2)
-        t_b = one_sample_hops(f_b, q, 2, w, statement_count=2)
-        assert t_a.memories.tobytes() == t_b.memories.tobytes()
+        mem_a, _ = one_sample_hops(f_a, q, 2, w, statement_count=2)
+        mem_b, _ = one_sample_hops(f_b, q, 2, w, statement_count=2)
+        assert mem_a.tobytes() == mem_b.tobytes()
 
     args = (0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
     sw = scalar_gru_weights(*args)
     f1, f2, qv = 0.8, -0.6, 0.1
-    got = one_sample_hops([[f1], [f2]], [qv], 1, sw, 2)
+    got, _ = one_sample_hops([[f1], [f2]], [qv], 1, sw, 2)
     gate_of = lambda fv, q, m: (math.tanh(fv * q) + math.tanh(fv * m)
                                 + math.tanh(abs(fv - q)) + math.tanh(abs(fv - m)))
     m = 0.0
     for fv in (f1, f2):
         g = gate_of(fv, qv, 0.0)
         m = g * scalar_gru_step(fv, m, *args) + (1 - g) * m
-    assert abs(got.memories[0, 0] - m) <= 1e-12
+    assert abs(got[0, 0] - m) <= 1e-12
     ok("criterion-3 memory invariants: zero case, h rows for h in 1..5, "
        "1000 pad-inertness trials bitwise, hand-unrolled oracle to 1e-12")
 

@@ -334,6 +334,11 @@ CORRUPT_INPUTS = {
     "seed_negative": (1, "seed must be >= 0", "prepare",
                       lambda root: edit_config(root, lambda raw: raw.update(seed=-1))),
     "seed_flag_negative": (1, "seed must be >= 0", "prepare --seed -1", lambda root: None),
+    "exclude_id_not_a_string": (1, "exclude_ids must be sample id strings", "prepare",
+                                lambda root: edit_config(
+                                    root, lambda raw: raw["split"].update(exclude_ids=[[1]]))),
+    "max_epochs_zero": (1, "max_epochs must be >= 1", "train",
+                        lambda root: edit_config(root, lambda raw: raw.update(max_epochs=0))),
     "dataset_non_utf8": (2, "dataset", "prepare", lambda root: (
         edit_config(root, lambda raw: raw.update(synthetic=None)),
         corrupt_bytes(root / "corpus.tsv", b"\t", b"\xff\t"))),
@@ -367,6 +372,7 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "model.ckpt").exists() and not (tmp_path / "train.log").exists()
 
     def test_nan_parameter_exits_2_with_one_line(self, pipeline, capsys):
         root, path = pipeline

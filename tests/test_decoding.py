@@ -34,7 +34,7 @@ from stmtmem.verify import toy_config
 
 
 def vocab_of_size(v):
-    return Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(v - 4)], max_size=v)
+    return Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(v - 4)])
 
 
 def dummy_encoded(comlen=13, sample_id="s1"):
@@ -69,12 +69,12 @@ class StubModel:
         self.calls = 0
         self.batches = []
 
-    def encode(self, encoded, collect_trace=False):
+    def encode(self, encoded):
         self.encodes += 1
         self.encoded_ids.update(e.sample_id for e in encoded)
         return StubState(e.sample_id for e in encoded)
 
-    def next_dist(self, state, prefixes, collect_trace=False):
+    def next_dist(self, state, prefixes):
         assert len(state.ids) == len(prefixes)
         assert set(state.ids) <= self.encoded_ids      # a state this model encoded
         self.calls += 1
@@ -278,20 +278,19 @@ class TestEncodeOnce:
         cfg = model.config
         for sample in samples:
             enc = encode_sample(sample, cv, sv, cfg)
-            state = model.encode([enc], collect_trace=True)
+            state = model.encode([enc])
             prefix = [BOS_ID]
             for _ in range(cfg.comlen - 1):
-                dists, traces = model.next_dist(state, [prefix], collect_trace=True)
-                got, got_trace = dists[0], traces[0] if traces else None
+                dists, gates = model.next_dist(state, [prefix])
+                got = dists[0]
                 row = prefix_row(prefix, cfg.comlen)
-                want = forward(replace(enc, summary_ids=row), model.params, cfg,
-                               collect_trace=True)
-                assert got.tobytes() == want.next_word_dist.tobytes()
-                if want.trace is None:
-                    assert got_trace is None
+                want, want_gates = forward(replace(enc, summary_ids=row), model.params, cfg)
+                assert got.tobytes() == want.tobytes()
+                if want_gates is None:
+                    assert gates is None and cfg.encoder_kind == "attendgru_only"
                 else:
-                    assert got_trace.gates.tobytes() == want.trace.gates.tobytes()
-                    assert got_trace.memories.tobytes() == want.trace.memories.tobytes()
+                    assert gates.shape == (1, cfg.h, cfg.n)
+                    assert gates[0].tobytes() == want_gates.tobytes()
                 prefix.append(4 + int(np.argmax(got[4:])))
 
     def test_predict_dist_is_next_dist_of_a_fresh_encoding(self):
@@ -310,7 +309,7 @@ class TestEncodeOnce:
             model.next_dist(state, [[BOS_ID] * (model.config.comlen + 1)])
 
     @pytest.mark.parametrize("first", [0, 1], ids=["constant_q-first", "summary_vector-first"])
-    def test_gate_dump_is_first_step_first_member_forward_trace(self, tmp_path, first):
+    def test_gate_dump_is_first_step_first_member_forward_gates(self, tmp_path, first):
         models, samples, cv, sv = mixed_members()
         members = [models[first], models[1 - first]]
         gates_path = str(tmp_path / "p.preds.gates")
@@ -321,9 +320,8 @@ class TestEncodeOnce:
         for sample in samples:
             enc = encode_sample(sample, cv, sv, lead.config)
             row = prefix_row([BOS_ID], lead.config.comlen)
-            trace = forward(replace(enc, summary_ids=row), lead.params, lead.config,
-                            collect_trace=True).trace
-            for hop, gates in enumerate(trace.gates):
+            _, sample_gates = forward(replace(enc, summary_ids=row), lead.params, lead.config)
+            for hop, gates in enumerate(sample_gates):
                 values = " ".join(f"{v:.6f}" for v in gates)
                 expected.append(f"{sample.sample_id}\t{hop}\t{values}")
         assert open(gates_path, encoding="utf-8").read().splitlines() == expected
@@ -376,9 +374,9 @@ class TestLockstep:
                  "s3": [one_hot(8, 5), one_hot(8, 6), one_hot(8, 2)]}
         a, b = StubModel(steps), StubModel(steps)
         encs = [dummy_encoded(sample_id=i) for i in ("s3", "s1", "s2")]
-        tokens, traces = _decode_lockstep([a, b], [encs, encs], vocab_of_size(8), False)
+        tokens, gates = _decode_lockstep([a, b], [encs, encs], vocab_of_size(8))
         assert tokens == [["w1", "w2"], [], ["w1"]]
-        assert traces == [None] * 3
+        assert gates is None
         assert a.batches == b.batches == [3, 2, 1]
         assert a.encodes == b.encodes == 1
 
@@ -388,9 +386,9 @@ class TestLockstep:
         predict_corpus(models, samples, cv, sv, whole, dump_gates_path=whole + ".gates")
         encode, batches = LoadedModel.encode, []
 
-        def counting_encode(self, encoded, collect_trace=False):
+        def counting_encode(self, encoded):
             batches.append(len(encoded))
-            return encode(self, encoded, collect_trace)
+            return encode(self, encoded)
 
         monkeypatch.setattr(decoding, "CHUNK_SAMPLES", 2)
         monkeypatch.setattr(LoadedModel, "encode", counting_encode)

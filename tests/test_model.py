@@ -12,7 +12,6 @@ from stmtmem import tensor as T
 from stmtmem.corpus import EncodedSample, StatementMatrix
 from stmtmem.errors import DimensionError, UsageError
 from stmtmem.model import (
-    MemoryTrace,
     ModelInputs,
     _forward_batch,
     _length_mask,
@@ -179,15 +178,16 @@ class TestGate:
         assert 0.0 < squashed < 1.0
 
 
-def one_sample_hops(f, q, hops, w, statement_count, gate_squash="none") -> MemoryTrace:
+def one_sample_hops(f, q, hops, w, statement_count,
+                    gate_squash="none") -> tuple[np.ndarray, np.ndarray]:
     """memory_hops on a one-sample batch: statement vectors f [n, d], query
     q [d], statements past statement_count padding. Returns the memory rows
     [hops, d] and the gates [hops, n]."""
     f = np.asarray(f, dtype=np.float64)
     valid = (np.arange(f.shape[0]) < statement_count)[None, :]
     mem, gates = memory_hops(T.constant(f[None]), T.constant(np.asarray(q, dtype=np.float64)[None]),
-                             valid, hops, w, gate_squash, collect_gates=True)
-    return MemoryTrace(memories=mem.data[0], gates=gates[0])
+                             valid, hops, w, gate_squash)
+    return mem.data[0], gates[0]
 
 
 class TestMemoryHops:
@@ -196,24 +196,24 @@ class TestMemoryHops:
 
     def test_zero_inputs_give_zero_memories(self):
         w = random_gru_weights(np.random.default_rng(3), 4, 4)
-        trace = one_sample_hops(np.zeros((3, 4)), np.zeros(4), 3, w, statement_count=3)
-        np.testing.assert_array_equal(trace.memories, np.zeros((3, 4)))
-        np.testing.assert_array_equal(trace.gates, np.zeros((3, 3)))
+        memories, gates = one_sample_hops(np.zeros((3, 4)), np.zeros(4), 3, w, statement_count=3)
+        np.testing.assert_array_equal(memories, np.zeros((3, 4)))
+        np.testing.assert_array_equal(gates, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("hops", [1, 2, 3, 4, 5])
     def test_exactly_h_memory_rows(self, hops):
         rng = np.random.default_rng(hops)
         w = random_gru_weights(rng, 4, 4)
         f = rng.uniform(-1, 1, (2, 4))
-        trace = one_sample_hops(f, np.full(4, 0.1), hops, w, statement_count=2)
-        assert trace.memories.shape == (hops, 4)
-        assert trace.gates.shape == (hops, 2)
+        memories, gates = one_sample_hops(f, np.full(4, 0.1), hops, w, statement_count=2)
+        assert memories.shape == (hops, 4)
+        assert gates.shape == (hops, 2)
 
     def test_one_dim_hand_unroll(self):
         args = (0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
         w = scalar_gru_weights(*args)
         f1, f2, qv = 0.8, -0.6, 0.1
-        trace = one_sample_hops([[f1], [f2]], [qv], 1, w, statement_count=2)
+        memories, gates = one_sample_hops([[f1], [f2]], [qv], 1, w, statement_count=2)
 
         def hand_gate(fv, q, m):
             return (math.tanh(fv * q) + math.tanh(fv * m)
@@ -224,15 +224,15 @@ class TestMemoryHops:
         m = g1 * scalar_gru_step(f1, m, *args) + (1 - g1) * m
         g2 = hand_gate(f2, qv, 0.0)
         m = g2 * scalar_gru_step(f2, m, *args) + (1 - g2) * m
-        assert trace.memories[0, 0] == pytest.approx(m, abs=1e-12)
-        assert trace.gates[0, 0] == pytest.approx(g1, abs=1e-12)
-        assert trace.gates[0, 1] == pytest.approx(g2, abs=1e-12)
+        assert memories[0, 0] == pytest.approx(m, abs=1e-12)
+        assert gates[0, 0] == pytest.approx(g1, abs=1e-12)
+        assert gates[0, 1] == pytest.approx(g2, abs=1e-12)
 
     def test_gate_queries_previous_hop_memory(self):
         args = (0.3, 0.5, -0.1, 0.2, -0.4, 0.2, 0.7, 0.6, 0.05)
         w = scalar_gru_weights(*args)
         f1, qv = 0.8, 0.1
-        trace = one_sample_hops([[f1]], [qv], 2, w, statement_count=1)
+        memories, gates = one_sample_hops([[f1]], [qv], 2, w, statement_count=1)
 
         def hand_gate(fv, q, m):
             return (math.tanh(fv * q) + math.tanh(fv * m)
@@ -242,9 +242,9 @@ class TestMemoryHops:
         m1 = g1 * scalar_gru_step(f1, 0.0, *args)
         g2 = hand_gate(f1, qv, m1)
         m2 = g2 * scalar_gru_step(f1, 0.0, *args)
-        assert trace.memories[0, 0] == pytest.approx(m1, abs=1e-12)
-        assert trace.memories[1, 0] == pytest.approx(m2, abs=1e-12)
-        assert trace.gates[1, 0] == pytest.approx(g2, abs=1e-12)
+        assert memories[0, 0] == pytest.approx(m1, abs=1e-12)
+        assert memories[1, 0] == pytest.approx(m2, abs=1e-12)
+        assert gates[1, 0] == pytest.approx(g2, abs=1e-12)
 
     def test_pad_statements_are_inert(self):
         rng = np.random.default_rng(17)
@@ -256,10 +256,10 @@ class TestMemoryHops:
             q = rng.uniform(-1, 1, 3)
             f_a = np.vstack([real, pad_a])
             f_b = np.vstack([real, pad_b])
-            t_a = one_sample_hops(f_a, q, 2, w, statement_count=2)
-            t_b = one_sample_hops(f_b, q, 2, w, statement_count=2)
-            assert t_a.memories.tobytes() == t_b.memories.tobytes()
-            assert (t_a.gates[:, 2:] == 0).all()
+            mem_a, gates_a = one_sample_hops(f_a, q, 2, w, statement_count=2)
+            mem_b, _ = one_sample_hops(f_b, q, 2, w, statement_count=2)
+            assert mem_a.tobytes() == mem_b.tobytes()
+            assert (gates_a[:, 2:] == 0).all()
 
     def test_statement_order_matters(self):
         rng = np.random.default_rng(23)
@@ -267,8 +267,8 @@ class TestMemoryHops:
         a = rng.uniform(-1, 1, 3)
         b = rng.uniform(-1, 1, 3)
         q = np.full(3, 0.1)
-        m_ab = one_sample_hops(np.vstack([a, b]), q, 1, w, 2).memories
-        m_ba = one_sample_hops(np.vstack([b, a]), q, 1, w, 2).memories
+        m_ab, _ = one_sample_hops(np.vstack([a, b]), q, 1, w, 2)
+        m_ba, _ = one_sample_hops(np.vstack([b, a]), q, 1, w, 2)
         assert not np.allclose(m_ab, m_ba)
 
     @pytest.mark.parametrize("squash", ["none", "sigmoid"])
@@ -280,9 +280,8 @@ class TestMemoryHops:
         f = rng.uniform(-2, 2, (4, 6, 4))
         q = T.constant(rng.uniform(-1, 1, (4, 4)))
         valid = np.arange(6) < np.array([3, 1, 0, 2])[:, None]
-        mem, gates = memory_hops(T.constant(f), q, valid, 3, w, squash, collect_gates=True)
-        mem_k, gates_k = memory_hops(T.constant(f[:, :3]), q, valid[:, :3], 3, w, squash,
-                                     collect_gates=True)
+        mem, gates = memory_hops(T.constant(f), q, valid, 3, w, squash)
+        mem_k, gates_k = memory_hops(T.constant(f[:, :3]), q, valid[:, :3], 3, w, squash)
         assert mem.data.tobytes() == mem_k.data.tobytes()
         assert gates[..., :3].tobytes() == gates_k.tobytes()
         assert gates_k.any() and not gates[..., 3:].any()
@@ -312,19 +311,19 @@ class TestForward:
         cfg = toy_config()
         rng = np.random.default_rng(0)
         params = init_params(cfg)
-        out = forward(toy_sample(cfg, rng), params, cfg)
-        assert out.next_word_dist.shape == (cfg.summary_vocab_size,)
-        assert abs(out.next_word_dist.sum() - 1.0) < 1e-9
-        assert (out.next_word_dist >= 0).all()
+        dist, _ = forward(toy_sample(cfg, rng), params, cfg)
+        assert dist.shape == (cfg.summary_vocab_size,)
+        assert abs(dist.sum() - 1.0) < 1e-9
+        assert (dist >= 0).all()
 
     def test_fuzzed_outputs_are_distributions(self):
         cfg = toy_config()
         params = init_params(cfg)
         rng = np.random.default_rng(99)
         for _ in range(1000):
-            out = forward(toy_sample(cfg, rng), params, cfg)
-            assert abs(out.next_word_dist.sum() - 1.0) < 1e-9
-            assert (out.next_word_dist >= 0).all()
+            dist, _ = forward(toy_sample(cfg, rng), params, cfg)
+            assert abs(dist.sum() - 1.0) < 1e-9
+            assert (dist >= 0).all()
 
     def test_attendgru_is_a_strict_submodel(self):
         cfg = toy_config()
@@ -356,24 +355,44 @@ class TestForward:
         with pytest.raises(UsageError):
             forward(bad, init_params(cfg), cfg)
 
-    def test_memory_trace_exposed_on_request(self):
+    def test_gates_are_returned_with_pad_slots_zero(self):
         cfg = toy_config()
         rng = np.random.default_rng(1)
         sample = toy_sample(replace(cfg, n=cfg.n - 1), rng)    # the last slot stays empty
         sample.statements.ids = np.vstack([sample.statements.ids, np.zeros((1, cfg.y), np.int64)])
         sample.statements.lengths = np.append(sample.statements.lengths, 0)
-        out = forward(sample, init_params(cfg), cfg, collect_trace=True)
-        assert isinstance(out.trace, MemoryTrace)
-        assert out.trace.memories.shape == (cfg.h, cfg.l_dim)
-        assert out.trace.gates.shape == (cfg.h, cfg.n)
+        _, gates = forward(sample, init_params(cfg), cfg)
+        assert gates.shape == (cfg.h, cfg.n)
         count = sample.statements.statement_count
-        assert out.trace.gates[:, :count].all() and not out.trace.gates[:, count:].any()
+        assert gates[:, :count].all() and not gates[:, count:].any()
 
-    def test_attendgru_has_no_trace(self):
+    def test_attendgru_has_no_gates(self):
         cfg = replace(toy_config(), encoder_kind="attendgru_only")
         rng = np.random.default_rng(1)
-        out = forward(toy_sample(cfg, rng), init_params(cfg), cfg, collect_trace=True)
-        assert out.trace is None
+        _, gates = forward(toy_sample(cfg, rng), init_params(cfg), cfg)
+        assert gates is None
+
+    @pytest.mark.parametrize("gate_query", ["constant_q", "summary_vector"])
+    def test_batch_gates_equal_one_sample_gates(self, gate_query):
+        # the training path: 12 rows drawn from 4 samples, each row with its
+        # own prefix, against every row's one-sample forward. A matmul row
+        # takes another BLAS path at another batch size, so the values agree
+        # to rounding; which slots are 0 agrees exactly.
+        cfg = replace(toy_config(), gate_query=gate_query)
+        rng = np.random.default_rng(5)
+        samples = [toy_sample(cfg, rng) for _ in range(4)]
+        picks = rng.integers(0, 4, size=12)
+        prefixes = [prefix_row([1] + list(rng.integers(4, cfg.summary_vocab_size, size=k)),
+                               cfg.comlen) for k in rng.integers(0, cfg.comlen - 1, size=12)]
+        inputs = batch_inputs([samples[i] for i in picks], summary_rows=prefixes)
+        assert inputs.code_ids.shape[0] < 12
+        params = init_params(cfg)
+        _, gates = _forward_batch(inputs, params, cfg)
+        assert gates.shape == (12, cfg.h, cfg.n)
+        for row, (i, prefix) in enumerate(zip(picks, prefixes)):
+            _, want = forward(replace(samples[i], summary_ids=prefix), params, cfg)
+            assert ((gates[row] == 0) == (want == 0)).all()
+            assert np.abs(gates[row] - want).max() <= 1e-12
 
 
 def reference_attendgru(inputs: ModelInputs, params, config) -> np.ndarray:

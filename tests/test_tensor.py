@@ -328,8 +328,8 @@ class TestAdam:
         params = ParameterSet(0)
         p = params.add("w", np.array([1.0]))
         p.grad = np.array([2.0])
-        state = AdamState.bind(params, lr=1e-3)
-        adam_step(params, state)
+        state = AdamState.bind(params)
+        adam_step(params, state, 1e-3)
         assert p.data[0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
         assert p.grad is None and state.t == 1
 
@@ -337,14 +337,14 @@ class TestAdam:
         params = ParameterSet(0)
         p = params.add("w", np.array([1.0, -2.0]))
         p.grad = np.zeros(2)
-        adam_step(params, AdamState.bind(params))
+        adam_step(params, AdamState.bind(params), 1e-3)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_missing_gradient_names_parameter(self):
         params = ParameterSet(0)
         params.add("alpha", np.ones(2))
         with pytest.raises(UsageError, match="alpha"):
-            adam_step(params, AdamState.bind(params))
+            adam_step(params, AdamState.bind(params), 1e-3)
 
     def test_identical_runs_are_bitwise_identical(self):
         def run():
@@ -354,7 +354,7 @@ class TestAdam:
             state = AdamState.bind(params)
             for _ in range(5):
                 p.grad = np.sin(p.data)
-                adam_step(params, state)
+                adam_step(params, state, 1e-3)
             return p.data.tobytes()
         assert run() == run()
 

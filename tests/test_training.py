@@ -15,6 +15,7 @@ from stmtmem.params import AdamState, adam_step
 from stmtmem.tensor import cross_entropy, mean_all
 from stmtmem.model import _forward_batch
 from stmtmem.training import (
+    LEARNING_RATE,
     EpochReport,
     TrainingPair,
     evaluate_next_token,
@@ -172,7 +173,7 @@ class TestTrainLoop:
         for seed in range(20):
             cfg = replace(cfg_base, rng_seed=seed)
             params = init_params(cfg)
-            adam = AdamState.bind(params, lr=1e-3)
+            adam = AdamState.bind(params)
             pairs = [p for e in enc for p in expand_pairs(e)]
             inputs, targets = _pair_batch(pairs, cfg.comlen)
             losses = []
@@ -181,7 +182,7 @@ class TestTrainLoop:
                 loss = mean_all(cross_entropy(dists, targets))
                 losses.append(loss.item())
                 loss.backward()
-                adam_step(params, adam)
+                adam_step(params, adam, LEARNING_RATE)
             if all(b < a for a, b in zip(losses, losses[1:])):
                 wins += 1
         assert wins >= 19
