@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -68,19 +68,6 @@ class RunPaths:
     report: str = ""
     log: str = ""
 
-    def validate(self) -> "RunPaths":
-        bad = [f.name for f in fields(self) if not isinstance(getattr(self, f.name), str)]
-        if bad:
-            raise ConfigError(f"paths must be strings: {', '.join(bad)}")
-        return self
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunPaths":
-        return parse_section(raw, "path", cls)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class SplitSpec:
@@ -88,30 +75,14 @@ class SplitSpec:
     min_statements: int = 1
     exclude_ids: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        # JSON gives lists
-        self.ratios = tuple(self.ratios)
-        self.exclude_ids = tuple(self.exclude_ids)
-
     def validate(self) -> "SplitSpec":
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
+        if any(r <= 0 for r in self.ratios):
             raise ConfigError(f"split ratios must be three positive numbers, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must sum to 1, got {sum(self.ratios)}")
         if self.min_statements < 1:
             raise ConfigError(f"min_statements must be >= 1, got {self.min_statements}")
-        bad = [i for i in self.exclude_ids if not isinstance(i, str)]
-        if bad:
-            raise ConfigError(f"split exclude_ids must be sample id strings, got {bad[0]!r}")
         return self
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SplitSpec":
-        return parse_section(raw, "split", cls)
-
-    def to_dict(self) -> dict:
-        return {"ratios": list(self.ratios), "min_statements": self.min_statements,
-                "exclude_ids": list(self.exclude_ids)}
 
 
 @dataclass
@@ -123,39 +94,16 @@ class RunConfig:
     seed: int = 13
     max_epochs: int = 30
 
-    def __post_init__(self):
+    def validate(self) -> "RunConfig":
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        return self
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        def build(model={}, paths={}, split={}, synthetic=None, seed=13, max_epochs=30):
-            return cls(
-                model=ModelConfig.from_dict(model),
-                paths=RunPaths.from_dict(paths),
-                split=SplitSpec.from_dict(split),
-                synthetic=SyntheticSpec.from_dict(synthetic) if synthetic is not None else None,
-                seed=int(seed),
-                max_epochs=int(max_epochs),
-            )
-
-        return parse_section(raw, "config", cls, build)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "paths": self.paths.to_dict(),
-            "split": self.split.to_dict(),
-            "synthetic": self.synthetic.to_dict() if self.synthetic else None,
-            "seed": self.seed,
-            "max_epochs": self.max_epochs,
-        }
-
-    @classmethod
-    def load(cls, path: str) -> "RunConfig":
-        return cls.from_dict(_read_json(path, "config"))
+        return parse_section(raw, "config", cls)
 
 
 def _read_json(path: str, what: str):
@@ -173,6 +121,14 @@ def _require_paths(cfg: RunConfig, command: str, *names: str) -> None:
     missing = [n for n in names if not getattr(cfg.paths, n)]
     if missing:
         raise ConfigError(f"{command} requires config paths: {', '.join(missing)}")
+
+
+def _flag_or_config(value, cfg: RunConfig, command: str, flag: str, name: str):
+    """`value` from the command-line flag, else config path `name`; one of the two is needed."""
+    value = value or getattr(cfg.paths, name)
+    if not value:
+        raise ConfigError(f"{command} needs {flag} or a {name} path in the config")
+    return value
 
 
 def _load_vocabs(cfg: RunConfig) -> tuple[Vocabulary, Vocabulary]:
@@ -283,13 +239,9 @@ def _load_models(checkpoint_paths) -> list[LoadedModel]:
 
 def cmd_predict(cfg: RunConfig, checkpoints, out: str | None, dump_gates: bool) -> None:
     _require_paths(cfg, "predict", "test", "code_vocab", "summary_vocab")
-    out_path = out or cfg.paths.predictions
-    if not out_path:
-        raise ConfigError("predict needs --out or a predictions path in the config")
+    out_path = _flag_or_config(out, cfg, "predict", "--out", "predictions")
     if not checkpoints:
-        checkpoints = [cfg.paths.checkpoint] if cfg.paths.checkpoint else []
-    if not checkpoints:
-        raise ConfigError("predict needs --checkpoint or a checkpoint path in the config")
+        checkpoints = [_flag_or_config(None, cfg, "predict", "--checkpoint", "checkpoint")]
     code_vocab, sum_vocab = _load_vocabs(cfg)
     models = _load_models(checkpoints)
     samples = read_dataset(cfg.paths.test)
@@ -317,9 +269,7 @@ def format_evaluation(data: dict) -> str:
 
 def cmd_evaluate(cfg: RunConfig, out: str | None) -> None:
     _require_paths(cfg, "evaluate", "test", "predictions")
-    report_path = out or cfg.paths.report
-    if not report_path:
-        raise ConfigError("evaluate needs --out or a report path in the config")
+    report_path = _flag_or_config(out, cfg, "evaluate", "--out", "report")
     _, refs = _references(cfg)
     name = cfg.paths.predictions.rsplit("/", 1)[-1]
     scored = _score(refs, read_predictions(cfg.paths.predictions), name)
@@ -373,9 +323,7 @@ def format_analysis(data: dict, samples: int) -> str:
 def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str | None) -> None:
     """Difference-set and improved-set analysis of two prediction files."""
     _require_paths(cfg, "analyze", "test")
-    report_path = out or cfg.paths.report
-    if not report_path:
-        raise ConfigError("analyze needs --out or a report path in the config")
+    report_path = _flag_or_config(out, cfg, "analyze", "--out", "report")
     _, refs = _references(cfg)
     preds_a = read_predictions(preds_a_path)
     preds_b = read_predictions(preds_b_path)
@@ -437,9 +385,7 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
     each on the test set, and report paired t-tests against the baseline."""
     _require_paths(cfg, "ablate", "train", "val", "test",
                    "code_vocab", "summary_vocab", "checkpoint")
-    report_path = out or cfg.paths.report
-    if not report_path:
-        raise ConfigError("ablate needs --out or a report path in the config")
+    report_path = _flag_or_config(out, cfg, "ablate", "--out", "report")
     sweep = _load_sweep(sweep_path)
     code_vocab, sum_vocab = _load_vocabs(cfg)
     base_cfg = _effective_model(cfg, code_vocab, sum_vocab)
@@ -449,8 +395,7 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
     for entry in sweep:
         overrides = {k: v for k, v in entry.items() if k != "name"}
         configs.append((entry["name"], parse_section(
-            overrides, f"sweep entry {entry['name']!r}", ModelConfig,
-            lambda **kw: replace(base_cfg, **kw).validate())))
+            {**asdict(base_cfg), **overrides}, f"sweep entry {entry['name']!r}", ModelConfig)))
     if not any(mc == base_cfg for _, mc in configs):
         configs.insert(0, ("baseline", base_cfg))
     baseline_index = next(i for i, (_, mc) in enumerate(configs) if mc == base_cfg)
@@ -555,9 +500,10 @@ def main(argv=None) -> int:
     try:
         # a non-finite value ends as a one-line data error, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cfg = RunConfig.load(args.config)
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
+            raw = _read_json(args.config, "config")
+            if args.seed is not None and isinstance(raw, dict):
+                raw["seed"] = args.seed
+            cfg = RunConfig.from_dict(raw)
             if args.command == "prepare":
                 cmd_prepare(cfg)
             elif args.command == "train":

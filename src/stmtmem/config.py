@@ -1,15 +1,19 @@
-"""Model hyperparameters and canonical JSON helpers.
+"""Run-config sections, their one typed parser, and canonical JSON helpers.
 
-Canonical JSON means sorted keys with a fixed layout, so any two runs that
-produce the same values produce byte-identical files.
+`parse_section` is the one place that checks a config value against its
+field's declared type; each section's `validate()` keeps only its range and
+membership rules. Canonical JSON means sorted keys with a fixed layout, so
+any two runs that produce the same values produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, TypeVar
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import TypeVar
 
 from .errors import ConfigError
 
@@ -20,9 +24,9 @@ GATE_SQUASHES = ("none", "sigmoid")
 
 Section = TypeVar("Section")
 
-# Declared type of a numeric section field -> the JSON values it accepts.
-_NUMBER_FIELDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-                  "float | None": ((int, float, type(None)), "a number or null")}
+# Scalar field type -> (the JSON values it accepts, its name, its plural).
+_SCALARS = {int: (int, "an integer", "integers"), float: ((int, float), "a number", "numbers"),
+            str: (str, "a string", "strings")}
 
 
 def canonical_json(obj) -> str:
@@ -35,43 +39,69 @@ def canonical_json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _finite(value) -> bool:
-    """False for a NaN or infinite number, also inside a list; Python's JSON
-    reader accepts NaN and Infinity."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return not isinstance(value, (list, tuple)) or all(_finite(v) for v in value)
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    """Field name -> resolved declared type, for section dataclass `cls`."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def parse_section(raw, label: str, cls: type[Section],
-                  build: Callable[..., Section] | None = None) -> Section:
-    """Build the config section `cls` from its JSON value `raw`, an object
-    whose keys name fields of `cls`; the error messages call it `label`.
+def _describe(kind) -> str:
+    """What a JSON value of declared type `kind` must be, for error messages."""
+    if kind in _SCALARS:
+        return _SCALARS[kind][1]
+    args = typing.get_args(kind)
+    if type(None) in args:
+        return f"{_describe(args[0])} or null"
+    size = "" if args[-1] is Ellipsis else f"{len(args)} "
+    return f"a JSON list of {size}{_SCALARS[args[0]][2]}"
 
-    `build(**raw)` makes and validates the section; by default it is
-    `cls(**raw).validate()`. A TypeError or ValueError raised on the way (a
-    value of the wrong type or length) becomes a ConfigError, like every
-    other defect of the file. First, no value may be a NaN or infinite
-    number, an int field must hold an integer (no float or boolean) and a
-    float field a number.
-    """
+
+def _typed(value, kind, name: str):
+    """`value` as declared type `kind`, with JSON lists made tuples; raises
+    TypeError on a value of another kind and ValueError on a NaN or infinite
+    number. A nested section is parsed whole, its errors labelled `name`."""
+    if kind in _SCALARS:
+        if isinstance(value, bool) or not isinstance(value, _SCALARS[kind][0]):
+            raise TypeError
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError
+        return value
+    if is_dataclass(kind):
+        return parse_section(value, name, kind)
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(value, args[0], name)
+    variadic = args[-1] is Ellipsis  # tuple[...]
+    if not isinstance(value, (list, tuple)) or not variadic and len(value) != len(args):
+        raise TypeError
+    return tuple(_typed(v, args[0 if variadic else i], name) for i, v in enumerate(value))
+
+
+def parse_section(raw, label: str, cls: type[Section]) -> Section:
+    """The config section `cls` built from its JSON value `raw`, an object
+    whose keys name fields of `cls`, then checked by its `validate()`, if it
+    has one; the error messages call it `label`. Each value must have its
+    field's declared type: `int`, `float`, `str`, `X | None`, a fixed or
+    variadic `tuple[...]` (a JSON list, never a bare string) or a nested
+    section. NaN, infinite numbers and booleans are refused as numbers."""
     if not isinstance(raw, dict):
         raise ConfigError(f"the {label} section must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    kinds = _field_types(cls)
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
+    values = {}
     for name, value in raw.items():
-        if not _finite(value):
-            raise ConfigError(f"invalid {label}: {name} must be finite, got {value!r}")
-    for f in fields(cls):
-        if f.name in raw and str(f.type) in _NUMBER_FIELDS:
-            kinds, wanted = _NUMBER_FIELDS[str(f.type)]
-            if isinstance(raw[f.name], bool) or not isinstance(raw[f.name], kinds):
-                raise ConfigError(f"invalid {label}: {f.name} must be {wanted}, got {raw[f.name]!r}")
-    try:
-        return build(**raw) if build else cls(**raw).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {label}: {exc}") from exc
+        try:
+            values[name] = _typed(value, kinds[name], name)
+        except TypeError:
+            raise ConfigError(f"invalid {label}: {name} must be {_describe(kinds[name])}, "
+                              f"got {value!r}") from None
+        except ValueError:
+            raise ConfigError(f"invalid {label}: {name} must be finite, got {value!r}") from None
+    section = cls(**values)
+    return section.validate() if hasattr(section, "validate") else section
 
 
 @dataclass

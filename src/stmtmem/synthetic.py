@@ -48,11 +48,6 @@ class SyntheticSpec:
     families: tuple[str, ...] = FAMILIES
     max_payloads: int = 1
 
-    def __post_init__(self):
-        # JSON gives lists
-        self.statement_range = tuple(self.statement_range)
-        self.families = tuple(self.families)
-
     def validate(self) -> "SyntheticSpec":
         if self.projects < 1 or self.samples_per_project < 1:
             raise ConfigError("synthetic spec needs positive project and sample counts")
@@ -69,15 +64,6 @@ class SyntheticSpec:
                 f"max_payloads must lie in [1, statement_range.lo - 2], got {self.max_payloads}"
             )
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "projects": self.projects,
-            "samples_per_project": self.samples_per_project,
-            "statement_range": list(self.statement_range),
-            "families": list(self.families),
-            "max_payloads": self.max_payloads,
-        }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":

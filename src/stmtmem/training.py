@@ -75,10 +75,8 @@ def evaluate_next_token(pairs: Sequence[TrainingPair], params: ParameterSet,
             chunk = pairs[start:stop]
             inputs, targets = _pair_batch(chunk, config.comlen)
             dists, _ = _forward_batch(inputs, params, config)
-            probs = dists.data
-            hits += int(np.sum(np.argmax(probs, axis=1) == targets))
-            picked = probs[np.arange(len(chunk)), targets]
-            total_loss += float(-np.log(np.maximum(picked, 1e-12)).sum())
+            hits += int(np.sum(np.argmax(dists.data, axis=1) == targets))
+            total_loss += float(cross_entropy(dists, targets).data.sum())
     return hits / len(pairs), total_loss / len(pairs)
 
 

@@ -1,19 +1,25 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stmtmem.model
 from stmtmem import cli
 from stmtmem import tensor as T
 from stmtmem.cli import RunConfig
-from stmtmem.config import canonical_json
 from stmtmem.corpus import read_dataset
 from stmtmem.decoding import read_predictions, write_predictions, PredictionRecord
 from stmtmem.errors import ConfigError
@@ -70,11 +76,60 @@ def write_config(tmp_path, overrides=None) -> str:
     return path
 
 
+def config_fields() -> list[tuple[str | None, str, object]]:
+    """(section, field, declared type) of every run-config field, read from
+    the dataclasses; the section is None for a top-level field."""
+    found = []
+    for name, kind in typing.get_type_hints(RunConfig).items():
+        found.append((None, name, kind))
+        for section in (kind, *typing.get_args(kind)):
+            if dataclasses.is_dataclass(section):
+                found += [(name, f, k) for f, k in typing.get_type_hints(section).items()]
+    return found
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+STRINGS = st.text(max_size=8)
+LISTS = st.lists(st.integers(0, 9) | st.text(max_size=3), max_size=3)
+
+
+def wrong_kind(kind):
+    """JSON values whose kind differs from the declared type `kind` (a
+    string for a number, a number for a string, a bare string or a scalar
+    for a list, a list for a scalar, a boolean for a number, NaN and +-inf):
+    invalid kinds only, never valid but huge values."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        kind = args[0]
+    if dataclasses.is_dataclass(kind):
+        return STRINGS | NUMBERS | LISTS | st.booleans() | NON_FINITE
+    if typing.get_origin(kind) is tuple:
+        return STRINGS | NUMBERS | st.booleans() | NON_FINITE
+    if kind is str:
+        return NUMBERS | LISTS | st.booleans() | NON_FINITE
+    return STRINGS | LISTS | st.booleans() | NON_FINITE
+
+
 class TestRunConfig:
-    def test_round_trip_is_identity(self, tmp_path):
-        cfg = RunConfig.from_dict(base_config_dict(str(tmp_path)))
-        again = RunConfig.from_dict(json.loads(canonical_json(cfg.to_dict())))
-        assert again == cfg
+    @given(st.sampled_from(config_fields()).flatmap(
+        lambda f: st.tuples(st.just(f), wrong_kind(f[2]))))
+    @settings(max_examples=300, deadline=None)
+    def test_value_of_the_wrong_kind_exits_1_naming_the_field(self, case):
+        (section, name, _), value = case
+        with tempfile.TemporaryDirectory() as root:
+            raw = base_config_dict(root)
+            (raw[section] if section else raw)[name] = value
+            path = os.path.join(root, "run.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli.main(["prepare", "--config", path]) == 1
+            assert os.listdir(root) == ["run.json"]
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+        assert "Traceback" not in err.getvalue()
 
     def test_unknown_keys_rejected_at_each_level(self, tmp_path, capsys):
         raw = base_config_dict(str(tmp_path))
@@ -119,10 +174,12 @@ class TestRunConfig:
         (lambda raw: {**raw, "model": {"q_fill": "x"}}, None),
         (lambda raw: {**raw, "model": {"h": True}}, None),
         (lambda raw: {**raw, "synthetic": {"projects": 2.5}}, None),
+        (lambda raw: {**raw, "split": {"exclude_ids": "proj000_fn000"}}, None),
+        (lambda raw: {**raw, "synthetic": {"families": "emit"}}, None),
     ], ids=["top_level_list", "model_not_object", "model_value_type", "seed_not_int",
             "ratios_not_list", "statement_range_short", "sweep_value_type",
             "int_field_float", "batch_float", "float_field_string", "int_field_bool",
-            "synthetic_int_field_float"])
+            "synthetic_int_field_float", "exclude_ids_bare_string", "families_bare_string"])
     def test_malformed_values_exit_1_with_one_line(self, tmp_path, capsys, edit, sweep):
         path = str(tmp_path / "run.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -139,6 +196,8 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        if sweep is None:
+            assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
     def test_bad_ratios_fail_before_any_io(self, tmp_path):
         path = write_config(tmp_path, {"split": {"ratios": [0.9, 0.2, 0.1]}})
@@ -334,7 +393,7 @@ CORRUPT_INPUTS = {
     "seed_negative": (1, "seed must be >= 0", "prepare",
                       lambda root: edit_config(root, lambda raw: raw.update(seed=-1))),
     "seed_flag_negative": (1, "seed must be >= 0", "prepare --seed -1", lambda root: None),
-    "exclude_id_not_a_string": (1, "exclude_ids must be sample id strings", "prepare",
+    "exclude_id_not_a_string": (1, "exclude_ids must be a JSON list of strings", "prepare",
                                 lambda root: edit_config(
                                     root, lambda raw: raw["split"].update(exclude_ids=[[1]]))),
     "max_epochs_zero": (1, "max_epochs must be >= 1", "train",
