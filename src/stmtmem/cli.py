@@ -117,6 +117,19 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+# argparse destination -> the flag's name in messages
+_PATH_FLAGS = {"config": "--config", "out": "--out", "checkpoint": "--checkpoint",
+               "sweep": "--sweep", "preds_a": "preds_a", "preds_b": "preds_b"}
+
+
+def _refuse_nul(named) -> None:
+    """Refuse any (name, path) pair whose path holds a NUL character, which
+    the system cannot open; called before the paths are read or written."""
+    for name, value in named:
+        if "\0" in value:
+            raise ConfigError(f"{name} must not contain a NUL character, got {value!r}")
+
+
 def _require_paths(cfg: RunConfig, command: str, *names: str) -> None:
     missing = [n for n in names if not getattr(cfg.paths, n)]
     if missing:
@@ -500,10 +513,14 @@ def main(argv=None) -> int:
     try:
         # a non-finite value ends as a one-line data error, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = {flag: getattr(args, dest, None) for dest, flag in _PATH_FLAGS.items()}
+            _refuse_nul((flag, v) for flag, value in values.items()
+                        for v in (value if isinstance(value, list) else [value]) if v)
             raw = _read_json(args.config, "config")
             if args.seed is not None and isinstance(raw, dict):
                 raw["seed"] = args.seed
             cfg = RunConfig.from_dict(raw)
+            _refuse_nul((f"paths.{name}", v) for name, v in asdict(cfg.paths).items())
             if args.command == "prepare":
                 cmd_prepare(cfg)
             elif args.command == "train":

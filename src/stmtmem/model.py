@@ -35,6 +35,7 @@ from .tensor import (
     GRUWeights,
     Tensor,
     add,
+    attend,
     broadcast_to,
     concat,
     constant,
@@ -50,7 +51,6 @@ from .tensor import (
     softmax,
     sum_axis,
     take_rows,
-    transpose_last2,
 )
 
 def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -165,12 +165,10 @@ def encode_statements_positional(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
                                  embedding: Tensor, p_matrix: np.ndarray) -> Tensor:
     """F_t = sum over word positions y of emb(word) * P[:, y], restricted to
     the statement's true length; all-pad rows stay zero."""
-    b, n, y = stmt_ids.shape
-    e = embedding.shape[1]
+    # P'[y, x] per word slot, times the 0/1 mask of the statement's length
+    weights = p_matrix.T * _length_mask(stmt_lengths, stmt_ids.shape[2])[..., None]
     emb = embedding_lookup(embedding, stmt_ids)                   # [B, n, Y, e]
-    pos = broadcast_to(constant(p_matrix.T), (b, n, y, e))        # P'[y, x] per word slot
-    mask = broadcast_to(constant(_length_mask(stmt_lengths, y)[..., None]), (b, n, y, e))
-    return sum_axis(mul(mul(emb, pos), mask), 2)                  # [B, n, e]
+    return sum_axis(mul(emb, constant(weights)), 2)               # [B, n, e]
 
 
 def encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
@@ -276,8 +274,7 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
 
     gates = None
     parts = []
-    attn_code = softmax(matmul(h_dec, transpose_last2(state.h_enc)), axis=-1)
-    parts.append(matmul(attn_code, state.h_enc))                            # ctx over code
+    parts.append(attend(h_dec, state.h_enc))                                # ctx over code
 
     if config.encoder_kind == "smn":
         mem, gate_values = state.mem, state.gates
@@ -286,8 +283,7 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
             mem, gate_values = memory_hops(state.f, q, state.valid, config.h,
                                            gru_weights(params, "episodic_gru"),
                                            config.gate_squash)
-        attn_mem = softmax(matmul(h_dec, transpose_last2(mem)), axis=-1)
-        parts.append(matmul(attn_mem, mem))                                 # ctx over memories
+        parts.append(attend(h_dec, mem))                                     # ctx over memories
         gates = np.zeros((b, config.h, config.n))                  # trimmed pad slots read 0
         gates[:, :, :gate_values.shape[2]] = gate_values
 

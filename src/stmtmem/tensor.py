@@ -3,12 +3,13 @@
 Deliberately small: only the kernels the summarizer needs. All values are
 row-major numpy float64 arrays. Binary elementwise ops require identical
 shapes; the only shape coercions are explicit ops (broadcast_to, reshape,
-concat, ...). Repeated backward() calls accumulate into existing gradient
-buffers until they are cleared.
+concat, ...). Repeated backward() calls accumulate into existing leaf
+gradient buffers until they are cleared; an interior node's gradient is
+released as soon as its backward has used it.
 
-matmul accepts, besides the plain 2-d case, a stacked [..., r, k] left
-operand against a shared 2-d weight matrix, and two stacks with identical
-leading dimensions.
+matmul takes a 2-d left operand or a stacked [..., r, k] one, against a
+shared 2-d weight matrix. Products of two stacks occur only inside the
+fused kernels (attend, gru_sequence).
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf.
 
-        Leaf gradients accumulate across calls until cleared; interior
-        buffers are reset at the start of each pass so a repeated call adds
-        exactly one more copy of the gradient.
+        Leaf gradients accumulate across calls until cleared. An interior
+        node's gradient is handed to its backward and dropped from the node
+        at once, so no interior buffer outlives its one reader; the reset at
+        the start of a pass clears what a pass that raised left behind.
         """
         if self.data.size != 1:
             raise UsageError(f"backward requires a scalar, got shape {self.shape}")
@@ -100,7 +102,8 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                node._backward(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -177,51 +180,61 @@ def relu(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise DimensionError(f"matmul: operands must be at least 2-d, "
-                             f"shapes {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise DimensionError(f"matmul: inner dimensions disagree for shapes {ad.shape} and {bd.shape}")
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+        raise DimensionError(f"matmul: shapes {ad.shape} and {bd.shape} are not "
+                             f"[..., r, k] and [k, c]")
 
-    if bd.ndim == 2:
-        out = ad @ bd
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ bd.T)
+        if b.requires_grad:
+            b._accumulate(ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
 
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ bd.T)
-            if b.requires_grad:
-                b._accumulate(ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
+    return _make(ad @ bd, (a, b), backward)
 
-        return _make(out, (a, b), backward)
 
-    if ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]:
-        out = ad @ bd
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ bd.swapaxes(-1, -2))
-            if b.requires_grad:
-                b._accumulate(ad.swapaxes(-1, -2) @ g)
-
-        return _make(out, (a, b), backward)
-
-    raise DimensionError(f"matmul: unsupported shapes {ad.shape} and {bd.shape}")
+def _softmax_values(x: np.ndarray, op: str, axis: int = -1) -> np.ndarray:
+    # numerically stable (max-subtraction); a non-finite input is an error
+    if not np.all(np.isfinite(x)):
+        raise NumericInputError(f"{op}: input contains non-finite values")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max-subtraction)."""
-    x = a.data
-    if not np.all(np.isfinite(x)):
-        raise NumericInputError("softmax: input contains non-finite values")
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    """Softmax along `axis`."""
+    y = _softmax_values(a.data, "softmax", axis)
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(y * (g - np.sum(g * y, axis=axis, keepdims=True)))
 
     return _make(y, (a,), backward)
+
+
+def attend(q: Tensor, k: Tensor) -> Tensor:
+    """Dot-product attention of the queries q [B, C, l] over keys k [B, T, l]
+    that are also the values: softmax(q kᵀ) k, [B, C, l], as one tape node.
+    The float operations are those of the chain matmul, softmax, matmul, so
+    the values and gradients are bitwise the chain's; the key's two
+    gradient terms, yᵀg and (qᵀ gs)ᵀ, are summed in one buffer."""
+    qd, kd = q.data, k.data
+    if qd.ndim != 3 or kd.ndim != 3 or qd.shape[::2] != kd.shape[::2]:
+        raise DimensionError(f"attend: queries {qd.shape} and keys {kd.shape} "
+                             f"must be [B, C, l] and [B, T, l]")
+    y = _softmax_values(qd @ kd.swapaxes(-1, -2), "attend")      # [B, C, T]
+
+    def backward(g):
+        gy = g @ kd.swapaxes(-1, -2)
+        gs = y * (gy - np.sum(gy * y, axis=-1, keepdims=True))    # d loss / d scores
+        if q.requires_grad:
+            q._accumulate(gs @ kd)
+        if k.requires_grad:
+            gk = y.swapaxes(-1, -2) @ g
+            gk += (qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+            k._accumulate(gk)
+
+    return _make(y @ kd, (q, k), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -341,17 +354,6 @@ def reshape(a: Tensor, shape) -> Tensor:
             a._accumulate(g.reshape(a.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
-
-
-def transpose_last2(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise DimensionError(f"transpose_last2: need at least 2 dims, got {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.swapaxes(-1, -2))
-
-    return _make(a.data.swapaxes(-1, -2), (a,), backward)
 
 
 def slice_axis(a: Tensor, axis: int, index: int) -> Tensor:

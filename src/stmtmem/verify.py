@@ -107,7 +107,7 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
     m34 = _leaf(rng, (3, 4))
     m42 = _leaf(rng, (4, 2))
     batch_a = _leaf(rng, (2, 3, 4))
-    batch_b = _leaf(rng, (2, 4, 3))
+    keys = _leaf(rng, (2, 5, 4))
     vec = _leaf(rng, (4,))
     table = _leaf(rng, (5, 3))
     ids = rng.integers(0, 5, size=(2, 3))
@@ -134,8 +134,8 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
         ("relu", lambda: p(T.relu(a34)), [a34]),
         ("matmul", lambda: p(T.matmul(m34, m42)), [m34, m42]),
         ("matmul_shared", lambda: p(T.matmul(batch_a, m42)), [batch_a, m42]),
-        ("matmul_batched", lambda: p(T.matmul(batch_a, batch_b)), [batch_a, batch_b]),
         ("softmax", lambda: p(T.softmax(logits, axis=-1)), [logits]),
+        ("attend", lambda: p(T.attend(batch_a, keys)), [batch_a, keys]),
         ("concat", lambda: p(T.concat([a34, b34, m34], axis=1)), [a34, b34, m34]),
         ("embedding_lookup", lambda: p(T.embedding_lookup(table, ids)), [table]),
         ("sum_axis", lambda: p(T.sum_axis(batch_a, 1)), [batch_a]),
@@ -143,7 +143,6 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
         ("mean_all", lambda: p(T.mean_all(a34)), [a34]),
         ("broadcast_to", lambda: p(T.broadcast_to(vec, (2, 3, 4))), [vec]),
         ("reshape", lambda: p(T.reshape(a34, (2, 6))), [a34]),
-        ("transpose_last2", lambda: p(T.transpose_last2(batch_a)), [batch_a]),
         ("slice_axis", lambda: p(T.slice_axis(batch_a, 1, 1)), [batch_a]),
         ("take_rows", lambda: p(T.take_rows(batch_a, [1, 0, 1])), [batch_a]),
         ("log", lambda: p(T.log(pos)), [pos]),

@@ -1,12 +1,13 @@
 """Op-graph references for the fused kernels.
 
-`gru_sequence`, `episodic_gate` and `take_rows` in `stmtmem.tensor` are one
-tape node each, with hand-written backwards. The step loops and graphs of
-elementwise tape ops below compute the same functions one op per node, so
-their values and gradients must agree with the kernels' up to the order of
-float sums. The elementwise ops those graphs need, and the model does not,
-live here rather than in the package, as do the earlier forms of two
-kernels: the two-branch sigmoid and the 2-d np.add.at scatters.
+`gru_sequence`, `episodic_gate`, `take_rows` and `attend` in
+`stmtmem.tensor` are one tape node each, with hand-written backwards. The
+step loops and graphs of elementwise tape ops below compute the same
+functions one op per node, so their values and gradients must agree with
+the kernels' up to the order of float sums (for `attend`, bitwise). The ops
+those graphs need, and the model does not, live here rather than in the
+package, as do the earlier forms of two kernels: the two-branch sigmoid and
+the 2-d np.add.at scatters.
 """
 
 import numpy as np
@@ -140,3 +141,30 @@ def take_rows(a, rows):
     one_hot = np.eye(a.shape[0])[np.asarray(rows)]
     flat = T.reshape(a, (a.shape[0], a.size // a.shape[0]))
     return T.reshape(T.matmul(T.constant(one_hot), flat), (len(rows),) + a.shape[1:])
+
+
+def matmul_stacked(a, b):
+    """The product of two stacks [..., r, k] and [..., k, c] with identical
+    leading dimensions."""
+    ad, bd = a.data, b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ bd.swapaxes(-1, -2))
+        if b.requires_grad:
+            b._accumulate(ad.swapaxes(-1, -2) @ g)
+
+    return T._make(ad @ bd, (a, b), backward)
+
+
+def transpose_last2(a):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.swapaxes(-1, -2))
+
+    return T._make(a.data.swapaxes(-1, -2), (a,), backward)
+
+
+def attend(q, k):
+    """softmax(q kᵀ) k as the chain of four tape nodes."""
+    return matmul_stacked(T.softmax(matmul_stacked(q, transpose_last2(k)), axis=-1), k)

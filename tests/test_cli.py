@@ -415,6 +415,13 @@ CORRUPT_INPUTS = {
                                                duplicate_first_line(root / "model.preds"))),
     "test_split_empty": (2, "holds no samples", "evaluate", lambda root: (
         (root / "test.tsv").write_text(""), (root / "model.preds").write_text(""))),
+    "dataset_path_nul": (1, "paths.dataset must not contain a NUL", "prepare",
+                         lambda root: edit_config(root, lambda raw: raw["paths"].update(
+                             dataset=f"{root}/a\u0000b.tsv"))),
+    "out_flag_nul": (1, "--out must not contain a NUL", "predict --out a\u0000b.preds",
+                     lambda root: None),
+    "config_flag_nul": (1, "--config must not contain a NUL", "prepare --config a\u0000b.json",
+                        lambda root: None),
 }
 
 
@@ -426,12 +433,14 @@ class TestErrorContract:
         assert cli.main(["prepare", "--config", path]) == 0
         mutate(tmp_path)
         capsys.readouterr()
+        files = {p: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
         command, *flags = command.split()
         assert cli.main([command, "--config", path, *flags]) == code
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert message in err and "Traceback" not in err
-        assert not (tmp_path / "model.ckpt").exists() and not (tmp_path / "train.log").exists()
+        # the failing command wrote no file
+        assert {p: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == files
 
     def test_nan_parameter_exits_2_with_one_line(self, pipeline, capsys):
         root, path = pipeline

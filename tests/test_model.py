@@ -25,7 +25,7 @@ from stmtmem.model import (
     positional_matrix,
     prefix_row,
 )
-from stmtmem.verify import toy_config
+from stmtmem.verify import model_variants, toy_config
 
 import op_graph
 
@@ -466,10 +466,10 @@ def assert_within(mine, theirs, rel=1e-12):
 
 
 class TestFusedKernels:
-    """gru_sequence, episodic_gate and take_rows are one tape node each,
-    with hand-written backwards. Their values and every gradient must agree
-    within 1e-12 relative with op_graph's step loops and elementwise graphs,
-    alone and in a whole training step of each model variant."""
+    """gru_sequence, episodic_gate, take_rows and attend are one tape node
+    each, with hand-written backwards. Their values and every gradient must
+    agree within 1e-12 relative with op_graph's step loops and elementwise
+    graphs, alone and in a whole training step of each model variant."""
 
     @pytest.mark.parametrize("kind", ["plain", "masked", "gated", "gated_squashed"])
     def test_sequence_matches_step_loop(self, kind):
@@ -558,7 +558,7 @@ class TestFusedKernels:
 
         fused = step()
         calls = {}
-        for name in ("gru_sequence", "episodic_gate", "take_rows"):
+        for name in ("gru_sequence", "episodic_gate", "take_rows", "attend"):
             def counted(*args, _op=getattr(op_graph, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _op(*args, **kwargs)
@@ -568,6 +568,50 @@ class TestFusedKernels:
         assert calls["gru_sequence"] == 2 + smn * (cfg.h + (cfg.statement_encoding == "eos"))
         assert calls.get("episodic_gate", 0) == smn * cfg.h
         assert calls["take_rows"] == 1 + smn * (1 + (cfg.gate_query == "constant_q"))
+        assert calls["attend"] == 1 + smn
         assert len(fused) == len(graph)
         for mine, theirs in zip(fused, graph):
             assert_within(mine, theirs)
+
+
+def interior_nodes(loss: T.Tensor) -> list[T.Tensor]:
+    """Every tape node reachable from `loss` (loss included) that has
+    parents, i.e. every node a backward pass runs."""
+    seen, todo, nodes = {id(loss)}, [loss], []
+    while todo:
+        node = todo.pop()
+        if node._parents:
+            nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return nodes
+
+
+class TestTape:
+    """Tape nodes per training step, pinned so that a change to the count
+    shows in review. The count depends on the hops (h=2 here, as in the
+    criterion-6 and benchmark `train` configurations), not on the widths
+    and lengths."""
+
+    NODES = {"smn_positional_constant_q": 36, "smn_eos_summary_vector": 38,
+             "attendgru_only": 21}
+    TRAIN_SHAPES = dict(tdatlen=96, comlen=13, e_dim=16, l_dim=16, h=2, n=10, y=10,
+                        batch=8, code_vocab_size=200, summary_vocab_size=100,
+                        projection_dim=32)
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_step_nodes_and_released_gradients(self, name):
+        cfg = dict(model_variants(toy_config(**self.TRAIN_SHAPES)))[name]
+        rng = np.random.default_rng(5)
+        samples = [toy_sample(cfg, rng) for _ in range(4)]
+        inputs = batch_inputs(samples + samples)
+        params = init_params(cfg)
+        dists, _ = _forward_batch(inputs, params, cfg)
+        loss = T.mean_all(T.cross_entropy(dists, rng.integers(4, 100, size=8)))
+        nodes = interior_nodes(loss)
+        assert len(nodes) == self.NODES[name]
+        loss.backward()
+        assert [node for node in nodes if node.grad is not None] == []
+        assert [n for n, p in params.items() if p.grad is None] == []

@@ -152,6 +152,38 @@ class TestSoftmax:
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
+class TestAttend:
+    def run(self, attend_op, q, k, weights):
+        qt, kt = leaf(q), leaf(k)
+        out = attend_op(qt, kt)
+        T.sum_all(T.mul(out, T.constant(weights))).backward()
+        return out.data, qt.grad, kt.grad
+
+    def test_matches_reference_chain_bitwise(self):
+        # B > 1 stacks and more keys than queries (T > C), as in the model
+        rng = np.random.default_rng(17)
+        q, k = rng.uniform(-2, 2, (3, 4, 5)), rng.uniform(-2, 2, (3, 7, 5))
+        weights = rng.uniform(0.5, 1.5, (3, 4, 5))
+        fused = self.run(T.attend, q, k, weights)
+        chain = self.run(op_graph.attend, q, k, weights)
+        for mine, theirs in zip(fused, chain):
+            assert mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("q, k", [
+        (np.full((1, 1, 2), np.nan), np.ones((1, 3, 2))),
+        (np.full((1, 1, 2), 1e200), np.full((1, 3, 2), 1e200)),    # finite inputs, inf score
+    ])
+    def test_non_finite_score_rejected(self, q, k):
+        # the overflow warning is silenced as the command line does
+        with np.errstate(over="ignore"), pytest.raises(NumericInputError, match="attend"):
+            T.attend(T.constant(q), T.constant(k))
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 1, 3\).*\(2, 4, 2\)"):
+            T.attend(T.constant(np.ones((2, 1, 3))), T.constant(np.ones((2, 4, 2))))
+
+
 class TestConcat:
     def test_single_argument_identity(self):
         x = T.constant([1.0, 2.0])
@@ -305,6 +337,18 @@ class TestBackward:
         with pytest.raises(UsageError):
             leaf([1.0, 2.0]).backward()
 
+    def test_interior_gradients_are_released_once_used(self):
+        # y feeds two consumers, so its gradient holds both terms before its
+        # backward reads it; the leaves keep exact gradients
+        x, w = leaf([1.0, -2.0, 3.0]), leaf([0.5, 2.0, -1.0])
+        y = T.mul(x, x)
+        s = T.add(y, y)
+        loss = T.sum_all(T.mul(s, w))
+        loss.backward()
+        assert y.grad is None and s.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, 4.0 * x.data * w.data)
+        np.testing.assert_array_equal(w.grad, 2.0 * x.data * x.data)
+
     def test_repeated_backward_accumulates(self):
         x = leaf([2.0])
         y = T.sum_all(T.mul(x, x))
@@ -377,7 +421,8 @@ class TestFiniteDifferenceInvariant:
         kernels = {name for name, fn in vars(T).items()
                    if inspect.isfunction(fn) and fn.__module__ == T.__name__
                    and not name.startswith("_") and is_kernel(fn)}
-        assert {"matmul", "gru_sequence", "gru_cell", "episodic_gate", "take_rows"} <= kernels
+        assert {"matmul", "attend", "gru_sequence", "gru_cell", "episodic_gate",
+                "take_rows"} <= kernels
         cases = [name for name, _, _ in verify.op_check_cases(np.random.default_rng(0))]
         checked = {}
         for case in cases:
