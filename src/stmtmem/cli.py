@@ -11,6 +11,7 @@ failure; every failure prints one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -467,8 +468,19 @@ def cmd_gradcheck(cfg: RunConfig) -> None:
 # entry points
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are usage errors: main prints them as one line
+    and returns 1, where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process; parsing does not
+    change it, so in-process callers share it."""
+    parser = _Parser(
         prog="stmtmem",
         description="statement-memory code summarization pipeline",
     )
@@ -509,8 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # a non-finite value ends as a one-line data error, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = {flag: getattr(args, dest, None) for dest, flag in _PATH_FLAGS.items()}

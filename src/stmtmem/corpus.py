@@ -169,6 +169,12 @@ def encode_sample(sample: Sample, code_vocab: Vocabulary, sum_vocab: Vocabulary,
     return EncodedSample(sample.sample_id, code_ids, statements, summary_ids)
 
 
+def encoding_key(config: ModelConfig) -> tuple[int, int, int, int]:
+    """The configuration fields encode_sample reads: configurations with
+    equal keys encode every sample alike."""
+    return config.tdatlen, config.comlen, config.n, config.y
+
+
 def split_by_project(samples: Sequence[Sample], ratios: Sequence[float],
                      seed: int) -> tuple[list[Sample], list[Sample], list[Sample]]:
     """Project-level split: whole projects are assigned greedily (largest

@@ -4,11 +4,12 @@ Ensembles average the member models' next-word probability vectors with
 equal weights at every step; members are trained independently and only
 combined at prediction time. Members must agree on the summary vocabulary
 and comlen; code-side shapes may differ, so each member decodes from its
-own encoding of the sample. Samples decode in lockstep chunks: a member
-encodes a chunk once (`LoadedModel.encode`); each step runs its decoder head
-once over the rows still decoding (`LoadedModel.next_dist`). A one-row
-matmul takes another BLAS path than a row of a larger batch, so a batched
-row's distributions match its one-row ones within 1e-9, not bitwise.
+own encoding of the sample, which members that encode alike share. Samples
+decode in lockstep chunks: a member encodes a chunk once
+(`LoadedModel.encode`); each step runs its decoder head once over the rows
+still decoding (`LoadedModel.next_dist`). A one-row matmul takes another
+BLAS path than a row of a larger batch, so a batched row's distributions
+match its one-row ones within 1e-9, not bitwise.
 
 Prediction file (bit-exact contract): one line per sample, UTF-8:
     sample_id<TAB>predicted tokens space-separated
@@ -32,6 +33,7 @@ from .corpus import (
     UNK_ID,
     Vocabulary,
     encode_sample,
+    encoding_key,
     read_records,
     write_text,
 )
@@ -182,7 +184,8 @@ def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
                    sum_vocab: Vocabulary, out_path: str,
                    dump_gates_path: str | None = None) -> list[PredictionRecord]:
     """Decode every sample in input order, CHUNK_SAMPLES at a time in
-    lockstep, and write the prediction file; optionally dump the first
+    lockstep, and write the prediction file; members that encode alike
+    share one encoding of each chunk. Optionally dump the first
     member's first-step gates per sample (one line per hop: sample_id, hop
     index, n gate values; no lines without the memory branch)."""
     for m in models:
@@ -195,8 +198,10 @@ def predict_corpus(models, samples: Sequence[Sample], code_vocab: Vocabulary,
     gate_lines: list[str] = []
     for start in range(0, len(samples), CHUNK_SAMPLES):
         chunk = samples[start:start + CHUNK_SAMPLES]
-        per_model = [[encode_sample(s, code_vocab, sum_vocab, m.config) for s in chunk]
-                     for m in models]
+        configs = {encoding_key(m.config): m.config for m in models}
+        encoded = {key: [encode_sample(s, code_vocab, sum_vocab, config) for s in chunk]
+                   for key, config in configs.items()}
+        per_model = [encoded[encoding_key(m.config)] for m in models]
         tokens, gates = _decode_lockstep(models, per_model, sum_vocab)
         records += [PredictionRecord(s.sample_id, t) for s, t in zip(chunk, tokens)]
         if dump_gates_path is not None and gates is not None:

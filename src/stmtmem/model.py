@@ -18,6 +18,7 @@ state ("summary_vector").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -77,7 +78,7 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
 def parameter_count(config: ModelConfig) -> int:
     """Total trainable scalars; a pure function of the configuration."""
-    return sum(int(np.prod(shape)) for _, shape, _ in _param_specs(config))
+    return sum(math.prod(shape) for _, shape, _ in _param_specs(config))
 
 
 def init_params(config: ModelConfig) -> ParameterSet:

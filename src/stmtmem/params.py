@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +178,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParameterSet]:
             if shape != expected[name]:
                 raise DataError(f"checkpoint {path}: parameter {name!r} has shape {shape}, "
                                 f"the stored config needs {expected[name]}")
-            n_items = int(np.prod(shape)) if shape else 1
+            n_items = math.prod(shape)
             if int(offset) != end or end + 8 * n_items > len(rest):
                 raise DataError(f"checkpoint {path}: data of parameter {name!r} is not at "
                                 f"bytes {end}..{end + 8 * n_items} of the data section")

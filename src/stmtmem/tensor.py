@@ -159,15 +159,18 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), backward)
 
 
-def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # 1/(1+e^-x) in four in-place calls: allocating temporaries costs more
+def _sigmoid_of_negated(y: np.ndarray) -> np.ndarray:
+    # 1/(1+e^-x) in place, given y = -x: allocating temporaries costs more
     # than the arithmetic at these shapes. Below x = -709 the exp overflows
-    # to inf and the value is exactly 0, so that overflow is not an error.
+    # to inf and the value is exactly 0, so callers ignore that overflow.
+    np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
+
+
+def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     with np.errstate(over="ignore"):
-        y = np.negative(x, out=out)
-        np.exp(y, out=y)
-        y += 1.0
-        return np.reciprocal(y, out=y)
+        return _sigmoid_of_negated(np.negative(x, out=out))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -193,12 +196,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad @ bd, (a, b), backward)
 
 
-def _softmax_values(x: np.ndarray, op: str, axis: int = -1) -> np.ndarray:
-    # numerically stable (max-subtraction); a non-finite input is an error
+def _softmax_values(x: np.ndarray, op: str, axis: int = -1,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    # numerically stable (max-subtraction); a non-finite input is an error.
+    # Given out (which may be x), the values are formed there in place.
     if not np.all(np.isfinite(x)):
         raise NumericInputError(f"{op}: input contains non-finite values")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -216,17 +223,20 @@ def attend(q: Tensor, k: Tensor) -> Tensor:
     """Dot-product attention of the queries q [B, C, l] over keys k [B, T, l]
     that are also the values: softmax(q kᵀ) k, [B, C, l], as one tape node.
     The float operations are those of the chain matmul, softmax, matmul, so
-    the values and gradients are bitwise the chain's; the key's two
-    gradient terms, yᵀg and (qᵀ gs)ᵀ, are summed in one buffer."""
+    the values and gradients are bitwise the chain's. The softmax and the
+    score gradient are formed in the buffers of q kᵀ and g kᵀ, and the key's
+    two gradient terms, yᵀg and (qᵀ gs)ᵀ, are summed in one buffer."""
     qd, kd = q.data, k.data
     if qd.ndim != 3 or kd.ndim != 3 or qd.shape[::2] != kd.shape[::2]:
         raise DimensionError(f"attend: queries {qd.shape} and keys {kd.shape} "
                              f"must be [B, C, l] and [B, T, l]")
-    y = _softmax_values(qd @ kd.swapaxes(-1, -2), "attend")      # [B, C, T]
+    scores = qd @ kd.swapaxes(-1, -2)                            # [B, C, T]
+    y = _softmax_values(scores, "attend", out=scores)
 
     def backward(g):
-        gy = g @ kd.swapaxes(-1, -2)
-        gs = y * (gy - np.sum(gy * y, axis=-1, keepdims=True))    # d loss / d scores
+        gs = g @ kd.swapaxes(-1, -2)                            # d loss / d y, then
+        gs -= np.sum(gs * y, axis=-1, keepdims=True)            # d loss / d scores
+        gs *= y
         if q.requires_grad:
             q._accumulate(gs @ kd)
         if k.requires_grad:
@@ -459,7 +469,12 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
     carry to the previous step is one product against [uz | ur] and every
     elementwise call runs over one contiguous block; each step computes its
     own factors, which at these shapes is cheaper than a pass over all
-    steps at once."""
+    steps at once. At small B a step costs its numpy calls rather than
+    their arithmetic, so the loops make few. z and r come from their negated
+    pre-activations, (-[uz | ur]ᵀ) h + (-(W x + b)), so their sigmoid
+    negates nothing per step; IEEE negation is exact, so the bits are those
+    of -(U h + W x + b). The forward loop runs inside one errstate, where
+    e^-x may overflow to inf and the gate is then exactly 0."""
     xd = x.data
     b, steps, e = xd.shape if xd.ndim == 3 else (0, 0, 0)
     l = w.uz.shape[0]
@@ -476,29 +491,31 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
     x_fm = xd.transpose(1, 2, 0)                                # [T, e, B]
     xw = np.matmul(w_x.T, x_fm)                                 # [T, 3l, B]
     xw += np.concatenate([bh, bz, br])[:, None]
-    xw_h, xw_zr = xw[:, :l], xw[:, l:]
-    u_zr_t, uh_t = np.ascontiguousarray(u_zr.T), np.ascontiguousarray(uh.T)
-    a_fm = None if gate is None else gate.data.T[:, None, :]   # [T, 1, B]
+    xw_h, nxw_zr = xw[:, :l], np.negative(xw[:, l:], out=xw[:, l:])
+    # C order matters: an F-ordered operand takes another BLAS path
+    nu_zr_t, uh_t = -np.ascontiguousarray(u_zr.T), np.ascontiguousarray(uh.T)
+    a_fm = [None] * steps if gate is None else gate.data.T[:, None, :]   # [T, 1, B]
     zrs, hbars, rhs = (np.empty((steps, k, b)) for k in (2 * l, l, l))
     zs, rs = zrs[:, :l], zrs[:, l:]
     hs = np.empty((steps + 1, l, b))                            # hs[t]: state step t starts from
     hs[0] = 0.0 if h0 is None else h0.data.T
-    for t in range(steps):
-        h, zr, hbar, c = hs[t], zrs[t], hbars[t], hs[t + 1]
-        np.matmul(u_zr_t, h, out=zr)
-        zr += xw_zr[t]
-        _sigmoid_values(zr, out=zr)
-        np.multiply(rs[t], h, out=rhs[t])
-        np.matmul(uh_t, rhs[t], out=hbar)
-        hbar += xw_h[t]
-        np.tanh(hbar, out=hbar)
-        np.subtract(h, hbar, out=c)                             # c = h~ + z*(h - h~)
-        c *= zs[t]
-        c += hbar
-        if a_fm is not None:                                    # h + a*(c - h)
-            c -= h
-            c *= a_fm[t]
-            c += h
+    with np.errstate(over="ignore"):
+        for h, c, zr, z, r, rh, hbar, nxw, xwh, a in zip(
+                hs[:-1], hs[1:], zrs, zs, rs, rhs, hbars, nxw_zr, xw_h, a_fm):
+            np.dot(nu_zr_t, h, out=zr)
+            zr += nxw
+            _sigmoid_of_negated(zr)
+            np.multiply(r, h, out=rh)
+            np.dot(uh_t, rh, out=hbar)
+            hbar += xwh
+            np.tanh(hbar, out=hbar)
+            np.subtract(h, hbar, out=c)                         # c = h~ + z*(h - h~)
+            c *= z
+            c += hbar
+            if a is not None:                                   # h + a*(c - h)
+                c -= h
+                c *= a
+                c += h
 
     def backward(g):
         gcs = np.ascontiguousarray(g.transpose(1, 2, 0))        # [T, l, B]; step t adds its carry
@@ -508,29 +525,29 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
         carry, ozr = np.zeros((l, b)), np.empty((2 * l, b))
         grh, gc_c, t1 = (np.empty((l, b)) for _ in range(3))
         oz, orr = ozr[:l], ozr[l:]
-        for t in reversed(range(steps)):
-            h, z, hbar, gc = hs[t], zs[t], hbars[t], gcs[t]
-            gc += carry                                         # d loss / d (state after step t)
-            if a_fm is not None:                                # d loss / d c
-                gc = np.multiply(gcs[t], a_fm[t], out=gc_c)
-            np.subtract(1.0, zrs[t], out=ozr)
+        for h, z, zr, r, hbar, rh, gc_t, gh, gz, gr, gzr, a in zip(
+                *(seq[::-1] for seq in (hs[:-1], zs, zrs, rs, hbars, rhs, gcs,
+                                        g_h, g_z, g_r, g_zr, a_fm))):
+            gc_t += carry                                       # d loss / d (state after step t)
+            gc = gc_t if a is None else np.multiply(gc_t, a, out=gc_c)   # d loss / d c
+            np.subtract(1.0, zr, out=ozr)
             oz *= gc                                            # gc (1 - z), and orr = 1 - r
             np.multiply(hbar, hbar, out=t1)
             np.subtract(1.0, t1, out=t1)
-            np.multiply(oz, t1, out=g_h[t])
+            np.multiply(oz, t1, out=gh)
             np.subtract(h, hbar, out=t1)
             t1 *= oz
-            np.multiply(t1, z, out=g_z[t])
-            np.matmul(uh, g_h[t], out=grh)                      # d loss / d (r*h)
-            np.multiply(grh, rhs[t], out=t1)
-            np.multiply(t1, orr, out=g_r[t])
-            np.matmul(u_zr, g_zr[t], out=carry)
+            np.multiply(t1, z, out=gz)
+            np.dot(uh, gh, out=grh)                             # d loss / d (r*h)
+            np.multiply(grh, rh, out=t1)
+            np.multiply(t1, orr, out=gr)
+            np.dot(u_zr, gzr, out=carry)
             np.multiply(gc, z, out=t1)
             carry += t1
-            np.multiply(grh, rs[t], out=t1)
+            np.multiply(grh, r, out=t1)
             carry += t1
-            if a_fm is not None:                                # the (1-a) h share
-                carry += gcs[t]
+            if a is not None:                                   # the (1-a) h share
+                carry += gc_t
                 carry -= gc
         if x.requires_grad:
             x._accumulate(np.matmul(w_x, gpre).transpose(2, 0, 1))

@@ -487,6 +487,37 @@ class TestErrorContract:
                          "--out", str(root / "short.preds")]) == 1
         assert "code vocabulary size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["predict"],
+        ["predict", "--config", "run.json", "--bogus"],
+        ["train", "--config", "run.json", "--seed", "abc"],
+    ], ids=["no_command", "predict_without_config", "unknown_flag", "seed_not_an_int"])
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["predict", "--help"])
+        assert done.value.code == 0
+        assert "--checkpoint" in capsys.readouterr().out
+
+    def test_calls_share_no_flag_state(self, pipeline, capsys):
+        # the parser is built once per process; each call's --checkpoint
+        # list is its own
+        root, path = pipeline
+        ckpt, out = str(root / "model.ckpt"), str(root / "flags.preds")
+        assert cli.main(["predict", "--config", path, "--out", out,
+                         "--checkpoint", str(root / "missing.ckpt")]) == 2
+        for checkpoints, members in (([], 1), ([ckpt, ckpt], 2), ([ckpt], 1)):
+            capsys.readouterr()
+            flags = [arg for c in checkpoints for arg in ("--checkpoint", c)]
+            assert cli.main(["predict", "--config", path, "--out", out, *flags]) == 0
+            assert f" from {members} model(s) " in capsys.readouterr().out
+
     def test_module_entry_point_runs_the_cli(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -397,6 +397,22 @@ class TestLockstep:
         assert open(chunked, "rb").read() == open(whole, "rb").read()
         assert open(chunked + ".gates", "rb").read() == open(whole + ".gates", "rb").read()
 
+    def test_members_that_encode_alike_share_one_encoding(self, tmp_path, monkeypatch):
+        models, samples, cv, sv = mixed_members()
+        longer = replace(models[0].config, tdatlen=models[0].config.tdatlen + 3, rng_seed=10)
+        models.append(LoadedModel(init_params(longer), longer))
+        encode, seen = LoadedModel.encode, {}
+
+        def recording_encode(self, encoded):
+            seen[id(self)] = encoded
+            return encode(self, encoded)
+
+        monkeypatch.setattr(LoadedModel, "encode", recording_encode)
+        predict_corpus(models, samples, cv, sv, str(tmp_path / "p.preds"))
+        first = seen[id(models[0])]
+        shared = [[a is b for a, b in zip(first, seen[id(m)])] for m in models]
+        assert shared == [[True] * len(samples)] * 3 + [[False] * len(samples)]
+
     def test_empty_split_writes_an_empty_file(self, tmp_path):
         models, _, cv, sv = mixed_members()
         path = str(tmp_path / "p.preds")

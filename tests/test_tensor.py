@@ -179,6 +179,17 @@ class TestAttend:
         with np.errstate(over="ignore"), pytest.raises(NumericInputError, match="attend"):
             T.attend(T.constant(q), T.constant(k))
 
+    def test_leaves_its_inputs_and_incoming_gradient_untouched(self):
+        # the softmax and the score gradient are formed in place, in buffers
+        # the kernel owns
+        rng = np.random.default_rng(3)
+        q, k = leaf(rng.uniform(-2, 2, (2, 3, 4))), leaf(rng.uniform(-2, 2, (2, 5, 4)))
+        g = rng.uniform(-1, 1, (2, 3, 4))
+        kept = [a.copy() for a in (q.data, k.data, g)]
+        T.attend(q, k)._backward(g)
+        for now, before in zip((q.data, k.data, g), kept):
+            assert now.tobytes() == before.tobytes()
+
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 1, 3\).*\(2, 4, 2\)"):
             T.attend(T.constant(np.ones((2, 1, 3))), T.constant(np.ones((2, 4, 2))))
@@ -297,6 +308,30 @@ class TestGRUCell:
                 f"gru{trial}", lambda: T.sum_all(T.mul(T.gru_cell(x, h, w), proj)),
                 [x, h, *w])
             assert result.max_rel_err < 1e-4
+
+
+class TestGRUSequence:
+    @pytest.mark.parametrize("form", ["plain", "gated", "h0"])
+    def test_saturated_gates_are_exact_finite_and_silent(self, form):
+        # unit weights and inputs of +-800 drive every pre-activation past
+        # +-709, where e^-x overflows: z and r must come out exactly 0 or 1,
+        # which makes every z- and r-parameter gradient exactly 0
+        b, steps, e, l = 4, 5, 3, 2
+        x = leaf(np.where(np.arange(b)[:, None, None] % 2, 800.0, -800.0)
+                 * np.ones((b, steps, e)))
+        w = T.GRUWeights(*(leaf(np.ones(s)) for s in [(e, l), (l, l), (l,)] * 3))
+        gate = leaf(np.full((b, steps), 0.5)) if form == "gated" else None
+        h0 = leaf(np.full((b, l), 0.25)) if form == "h0" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.gru_sequence(x, w, gate=gate, h0=h0)
+            T.sum_all(T.mul(out, T.constant(np.full(out.shape, 0.5)))).backward()
+        assert np.isfinite(out.data).all()
+        for p in (x, *w, gate, h0):
+            if p is not None:
+                assert np.isfinite(p.grad).all()
+        for p in (w.wz, w.uz, w.bz, w.wr, w.ur, w.br):
+            assert (p.grad == 0.0).all()
 
 
 class TestCrossEntropy:
