@@ -96,6 +96,11 @@ class RunConfig:
     max_epochs: int = 30
 
     def validate(self) -> "RunConfig":
+        # a 3-way project split needs 3 projects; benchmark self-tests
+        # generate 1-project corpora, so SyntheticSpec allows fewer
+        if self.synthetic is not None and self.synthetic.projects < 3:
+            raise ConfigError(f"synthetic.projects must be >= 3 for the 3-way project split, "
+                              f"got {self.synthetic.projects}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 1:
@@ -258,7 +263,7 @@ def cmd_predict(cfg: RunConfig, checkpoints, out: str | None, dump_gates: bool) 
         checkpoints = [_flag_or_config(None, cfg, "predict", "--checkpoint", "checkpoint")]
     code_vocab, sum_vocab = _load_vocabs(cfg)
     models = _load_models(checkpoints)
-    samples = read_dataset(cfg.paths.test)
+    samples, _ = _references(cfg)
     gates_path = out_path + ".gates" if dump_gates else None
     start = time.perf_counter()
     records = predict_corpus(models, samples, code_vocab, sum_vocab, out_path,
@@ -380,6 +385,10 @@ def _load_sweep(path: str | None) -> list[dict]:
     sweep = _read_json(path, "sweep")
     if not isinstance(sweep, list) or not all(isinstance(e, dict) and "name" in e for e in sweep):
         raise ConfigError(f"sweep {path} must be a JSON list of objects with a 'name' key")
+    for entry in sweep:
+        if not isinstance(entry["name"], str) or "\0" in entry["name"]:
+            raise ConfigError(f"sweep {path}: each name must be a string without a NUL "
+                              f"character, got {entry['name']!r}")
     return sweep
 
 
@@ -412,6 +421,11 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
             {**asdict(base_cfg), **overrides}, f"sweep entry {entry['name']!r}", ModelConfig)))
     if not any(mc == base_cfg for _, mc in configs):
         configs.insert(0, ("baseline", base_cfg))
+    names = [name for name, _ in configs]
+    twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if twice is not None:   # each name owns a checkpoint and a report row
+        raise ConfigError(f"the sweep names {twice!r} twice (a sweep without the "
+                          f"baseline configuration gets one named 'baseline')")
     baseline_index = next(i for i, (_, mc) in enumerate(configs) if mc == base_cfg)
 
     train_raw, val_raw = read_dataset(cfg.paths.train), read_dataset(cfg.paths.val)

@@ -35,15 +35,13 @@ from .tensor import gru_cell  # noqa: F401
 from .tensor import (
     GRUWeights,
     Tensor,
-    add,
     attend,
-    broadcast_to,
     concat,
     constant,
+    dense,
     embedding_lookup,
     episodic_gate,
     gru_sequence,
-    matmul,
     mul,
     no_grad,
     relu,
@@ -200,14 +198,14 @@ def memory_hops(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
     if hops < 1:
         raise UsageError(f"hops must be >= 1, got {hops}")
     b, n, d = f.shape
-    mask = constant(valid.astype(np.float64))
     m = constant(np.zeros((b, d)))
     memories = []
     gates = np.zeros((b, hops, n))
     for i in range(hops):
-        a = mul(episodic_gate(f, q, m, gate_squash == "sigmoid"), mask)   # [B, n]
+        a = episodic_gate(f, q, m, valid, gate_squash == "sigmoid")   # [B, n]
         m = slice_axis(gru_sequence(f, w, gate=a), 1, n - 1)          # [B, d]
         memories.append(m)
+        # a negative gate times a 0 mask is -0.0, which the dump would print
         gates[:, i] = np.where(valid, a.data, 0.0)
     return reshape(concat(memories, 1), (b, hops, d)), gates
 
@@ -290,11 +288,9 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
 
     parts.append(h_dec)
     context = concat(parts, 2)
-    proj = relu(add(matmul(context, params["proj.w"]),
-                    broadcast_to(params["proj.b"], (b, config.comlen, config.projection_dim))))
+    proj = relu(dense(context, params["proj.w"], params["proj.b"]))
     flat = reshape(proj, (b, config.comlen * config.projection_dim))
-    logits = add(matmul(flat, params["out.w"]),
-                 broadcast_to(params["out.b"], (b, config.summary_vocab_size)))
+    logits = dense(flat, params["out.w"], params["out.b"])
     return softmax(logits, axis=-1), gates
 
 

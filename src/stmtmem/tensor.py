@@ -1,15 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: only the kernels the summarizer needs. All values are
-row-major numpy float64 arrays. Binary elementwise ops require identical
-shapes; the only shape coercions are explicit ops (broadcast_to, reshape,
-concat, ...). Repeated backward() calls accumulate into existing leaf
-gradient buffers until they are cleared; an interior node's gradient is
-released as soon as its backward has used it.
+Deliberately small: only the kernels the summarizer needs, most of them
+one tape node per layer. All values are row-major numpy float64 arrays.
+Binary elementwise ops require identical shapes; the only shape changes
+are explicit ops (reshape, concat, slices, ...). Repeated backward() calls
+accumulate into existing leaf gradient buffers until they are cleared; an
+interior node's gradient is released as soon as its backward has used it.
 
-matmul takes a 2-d left operand or a stacked [..., r, k] one, against a
-shared 2-d weight matrix. Products of two stacks occur only inside the
-fused kernels (attend, gru_sequence).
+dense is the one product against a weight matrix: x [..., r, k] @ w [k, c]
++ b [c]. Products of two stacks occur only inside the fused kernels
+(attend, gru_sequence).
 """
 
 from __future__ import annotations
@@ -63,10 +63,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            data = self.data
-            # zeros_like keeps a view's memory order, which later sums see
-            self.grad = (np.zeros(data.shape) if data.flags.c_contiguous
-                         else np.zeros_like(data))
+            self.grad = np.zeros(self.data.shape)
         self.grad += g
 
     def backward(self) -> None:
@@ -127,18 +124,6 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
-
-    return _make(a.data + b.data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
@@ -149,14 +134,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g * a.data)
 
     return _make(a.data * b.data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), backward)
 
 
 def _sigmoid_of_negated(y: np.ndarray) -> np.ndarray:
@@ -181,19 +158,28 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
-        raise DimensionError(f"matmul: shapes {ad.shape} and {bd.shape} are not "
-                             f"[..., r, k] and [k, c]")
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x [..., r, k] @ w [k, c] + b [c] as one tape node. The bias gradient
+    sums g channel-major, over a C-contiguous [c, ...] copy: that order
+    keeps trained parameters bitwise those of the op chain in
+    tests/op_graph.py, and a sum over the leading axes in C order does not."""
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise DimensionError(f"dense: input {xd.shape}, weights {wd.shape} and bias {bd.shape} "
+                             f"are not [..., r, k], [k, c] and [c]")
+    k, c = wd.shape
+    y = xd @ wd
+    y += bd
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ bd.T)
+        if x.requires_grad:
+            x._accumulate(g @ wd.T)
+        if w.requires_grad:
+            w._accumulate(xd.reshape(-1, k).T @ g.reshape(-1, c))
         if b.requires_grad:
-            b._accumulate(ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
+            b._accumulate(np.ascontiguousarray(np.moveaxis(g, -1, 0)).reshape(c, -1).sum(axis=1))
 
-    return _make(ad @ bd, (a, b), backward)
+    return _make(y, (x, w, b), backward)
 
 
 def _softmax_values(x: np.ndarray, op: str, axis: int = -1,
@@ -335,27 +321,6 @@ def mean_all(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.mean()), (a,), backward)
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    """Explicit broadcast; trailing dims must match or be 1."""
-    shape = tuple(int(d) for d in shape)
-    added = len(shape) - a.ndim
-    if added < 0:
-        raise DimensionError(f"broadcast_to: cannot shrink {a.shape} to {shape}")
-    for i, d in enumerate(a.shape):
-        if d != shape[added + i] and d != 1:
-            raise DimensionError(f"broadcast_to: {a.shape} is incompatible with {shape}")
-    reduce_axes = tuple(range(added)) + tuple(
-        added + i for i, d in enumerate(a.shape) if d == 1 and shape[added + i] != 1
-    )
-
-    def backward(g):
-        if a.requires_grad:
-            summed = g.sum(axis=reduce_axes) if reduce_axes else g
-            a._accumulate(summed.reshape(a.shape))
-
-    return _make(np.broadcast_to(a.data, shape), (a,), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(d) for d in shape)
 
@@ -381,48 +346,28 @@ def slice_axis(a: Tensor, axis: int, index: int) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    # Gradient is 0 in the clamped region.
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > floor))
-
-    return _make(np.maximum(a.data, floor), (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
-def gather_index(a: Tensor, index) -> Tensor:
-    """Pick one entry per row of a [B, v] matrix, given length-B ids;
-    returns [B]. Gradients scatter back."""
-    if a.ndim != 2:
-        raise DimensionError(f"gather_index: unsupported shape {a.shape}")
-    ids = np.asarray(index, dtype=np.int64)
-    if ids.shape != (a.shape[0],):
-        raise DimensionError(f"gather_index: want {a.shape[0]} ids, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[1]):
-        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-        raise VocabularyError(f"token id {bad} outside vocabulary of size {a.shape[1]}")
-    rows = np.arange(a.shape[0])
-
-    def backward(g):
-        if a.requires_grad:
-            _scatter_add(a, rows * a.shape[1] + ids, g)
-
-    return _make(a.data[rows, ids], (a,), backward)
-
-
 def cross_entropy(pred: Tensor, target) -> Tensor:
-    """Per-row -ln(pred[row, target]) of a [B, v] probability matrix and
-    length-B targets, with the probability clamped at 1e-12; returns [B]."""
-    picked = gather_index(pred, target)
-    return neg(log(clamp_min(picked, 1e-12)))
+    """Per-row -ln(max(p, 1e-12)) of p = pred[row, target], for a [B, v]
+    probability matrix and length-B target ids; returns [B]. The gradient
+    is 0 where p is clamped and scatters back into pred's gradient."""
+    if pred.ndim != 2:
+        raise DimensionError(f"cross_entropy: unsupported shape {pred.shape}")
+    b, v = pred.shape
+    ids = np.asarray(target, dtype=np.int64)
+    if ids.shape != (b,):
+        raise DimensionError(f"cross_entropy: want {b} ids, got shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+        raise VocabularyError(f"token id {bad} outside vocabulary of size {v}")
+    flat_index = np.arange(b) * v + ids
+    p = pred.data.reshape(-1)[flat_index]
+    floored = np.maximum(p, 1e-12)
+
+    def backward(g):
+        if pred.requires_grad:
+            _scatter_add(pred, flat_index, (-g) / floored * (p > 1e-12))
+
+    return _make(-np.log(floored), (pred,), backward)
 
 
 class GRUWeights(NamedTuple):
@@ -573,16 +518,21 @@ def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
     return reshape(gru_sequence(reshape(x, (x.shape[0], 1, -1)), w, h0=h), h.shape)
 
 
-def episodic_gate(f: Tensor, q: Tensor, m: Tensor, squash: bool = False) -> Tensor:
+def episodic_gate(f: Tensor, q: Tensor, m: Tensor, valid,
+                  squash: bool = False) -> Tensor:
     """The scalar gate of every statement of f [B, n, d] against one query
     q and one memory m [B, d]: tanh of the features [f*q, f*m, |f-q|, |f-m|],
-    summed over the 4d features, then a sigmoid when `squash`. Returns
-    [B, n] as one tape node; all the gates of a memory hop read the same
-    (previous hop's) memory, so a hop needs one call."""
+    summed over the 4d features, then a sigmoid when `squash`, times the
+    0/1 mask `valid` [B, n] of real statements. Returns [B, n] as one tape
+    node; all the gates of a memory hop read the same (previous hop's)
+    memory, so a hop needs one call."""
     fd, qd, md = f.data, q.data, m.data
-    if fd.ndim != 3 or qd.shape != (fd.shape[0], fd.shape[2]) or md.shape != qd.shape:
-        raise DimensionError(f"episodic_gate: statements {fd.shape}, query {qd.shape} and "
-                             f"memory {md.shape} must be [B, n, d], [B, d], [B, d]")
+    mask = np.asarray(valid, dtype=np.float64)
+    if (fd.ndim != 3 or qd.shape != (fd.shape[0], fd.shape[2]) or md.shape != qd.shape
+            or mask.shape != fd.shape[:2]):
+        raise DimensionError(f"episodic_gate: statements {fd.shape}, query {qd.shape}, "
+                             f"memory {md.shape} and mask {mask.shape} must be "
+                             f"[B, n, d], [B, d], [B, d] and [B, n]")
     d = fd.shape[2]
     qb, mb = qd[:, None], md[:, None]
     diff_q, diff_m = fd - qb, fd - mb
@@ -591,6 +541,7 @@ def episodic_gate(f: Tensor, q: Tensor, m: Tensor, squash: bool = False) -> Tens
     y = _sigmoid_values(s) if squash else s
 
     def backward(g):
+        g = g * mask
         if squash:
             g = g * y * (1.0 - y)
         gt = g[:, :, None] * (1.0 - t * t)
@@ -604,4 +555,4 @@ def episodic_gate(f: Tensor, q: Tensor, m: Tensor, squash: bool = False) -> Tens
         if m.requires_grad:
             m._accumulate(np.sum(g_fm * fd - g_dm, axis=1))
 
-    return _make(y, (f, q, m), backward)
+    return _make(y * mask, (f, q, m), backward)

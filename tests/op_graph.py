@@ -1,10 +1,11 @@
 """Op-graph references for the fused kernels.
 
-`gru_sequence`, `episodic_gate`, `take_rows` and `attend` in
-`stmtmem.tensor` are one tape node each, with hand-written backwards. The
-step loops and graphs of elementwise tape ops below compute the same
-functions one op per node, so their values and gradients must agree with
-the kernels' up to the order of float sums (for `attend`, bitwise). The ops
+`gru_sequence`, `episodic_gate`, `take_rows`, `attend`, `dense` and
+`cross_entropy` in `stmtmem.tensor` are one tape node each, with
+hand-written backwards. The step loops and graphs of elementwise tape ops
+below compute the same functions one op per node, so their values and
+gradients must agree with the kernels' up to the order of float sums (for
+`attend`, `dense`, `cross_entropy` and the gate's mask, bitwise). The ops
 those graphs need, and the model does not, live here rather than in the
 package, as do the earlier forms of two kernels: the two-branch sigmoid and
 the 2-d np.add.at scatters.
@@ -13,6 +14,83 @@ the 2-d np.add.at scatters.
 import numpy as np
 
 from stmtmem import tensor as T
+
+
+def add(a, b):
+    T._check_same_shape(a, b, "add")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g)
+
+    return T._make(a.data + b.data, (a, b), backward)
+
+
+def neg(a):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(-g)
+
+    return T._make(-a.data, (a,), backward)
+
+
+def log(a):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g / a.data)
+
+    return T._make(np.log(a.data), (a,), backward)
+
+
+def clamp_min(a, floor):
+    # Gradient is 0 in the clamped region.
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * (a.data > floor))
+
+    return T._make(np.maximum(a.data, floor), (a,), backward)
+
+
+def matmul(a, b):
+    """[..., r, k] against a shared [k, c]."""
+    ad, bd = a.data, b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ bd.T)
+        if b.requires_grad:
+            b._accumulate(ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
+
+    return T._make(ad @ bd, (a, b), backward)
+
+
+def broadcast_to(a, shape):
+    """Explicit broadcast; trailing dims must match or be 1. The backward
+    sums the incoming gradient in a buffer laid out as np.zeros_like lays
+    out the broadcast view (the broadcast axes innermost), as the kernel
+    did when gradient buffers followed their node's memory order."""
+    shape = tuple(int(d) for d in shape)
+    added = len(shape) - a.ndim
+    reduce_axes = tuple(range(added)) + tuple(
+        added + i for i, d in enumerate(a.shape) if d == 1 and shape[added + i] != 1)
+    view = np.broadcast_to(a.data, shape)
+
+    def backward(g):
+        if a.requires_grad:
+            buffer = np.zeros_like(view)
+            buffer += g
+            summed = buffer.sum(axis=reduce_axes) if reduce_axes else buffer
+            a._accumulate(summed.reshape(a.shape))
+
+    return T._make(view, (a,), backward)
+
+
+def dense(x, w, b):
+    """x @ w + b as the chain matmul, broadcast_to, add."""
+    s = matmul(x, w)
+    return add(s, broadcast_to(b, s.shape))
 
 
 def add_const(a, c):
@@ -86,6 +164,12 @@ def gather_index(a, index):
     return T._make(a.data[rows, ids], (a,), backward)
 
 
+def cross_entropy(pred, target):
+    """-ln(max(pred[row, target], 1e-12)) as the chain gather_index,
+    clamp_min, log, neg."""
+    return neg(log(clamp_min(gather_index(pred, target), 1e-12)))
+
+
 def sigmoid(a):
     y = T._sigmoid_values(a.data)
 
@@ -99,13 +183,13 @@ def sigmoid(a):
 def gru_cell(x, h, w):
     """The GRU step as a graph of elementwise tape ops, one node per op."""
     def affine(x, h, wm, um, b):
-        s = T.add(T.matmul(x, wm), T.matmul(h, um))
-        return T.add(s, T.broadcast_to(b, s.shape))
+        s = add(matmul(x, wm), matmul(h, um))
+        return add(s, broadcast_to(b, s.shape))
 
     z = sigmoid(affine(x, h, w.wz, w.uz, w.bz))
     r = sigmoid(affine(x, h, w.wr, w.ur, w.br))
     hbar = tanh(affine(x, T.mul(r, h), w.wh, w.uh, w.bh))
-    return T.add(T.mul(z, h), T.mul(add_const(T.neg(z), 1.0), hbar))
+    return add(T.mul(z, h), T.mul(add_const(neg(z), 1.0), hbar))
 
 
 def gru_sequence(x, w, gate=None, h0=None):
@@ -119,20 +203,21 @@ def gru_sequence(x, w, gate=None, h0=None):
         if gate is None:
             h = c
         else:
-            a = T.broadcast_to(T.reshape(T.slice_axis(gate, 1, t), (b, 1)), c.shape)
-            h = T.add(T.mul(a, c), T.mul(add_const(T.neg(a), 1.0), h))
+            a = broadcast_to(T.reshape(T.slice_axis(gate, 1, t), (b, 1)), c.shape)
+            h = add(T.mul(a, c), T.mul(add_const(neg(a), 1.0), h))
         states.append(h)
     return T.concat([T.reshape(s, (b, 1, s.shape[1])) for s in states], 1)
 
 
-def episodic_gate(f, q, m, squash=False):
+def episodic_gate(f, q, m, valid, squash=False):
     """The episodic gate of f [B, n, d] against q, m [B, d] as a graph of
-    elementwise tape ops; returns [B, n]."""
+    elementwise tape ops, times the 0/1 mask `valid` [B, n] in a node of
+    its own; returns [B, n]."""
     b, n, d = f.shape
-    qb, mb = (T.broadcast_to(T.reshape(v, (b, 1, d)), (b, n, d)) for v in (q, m))
+    qb, mb = (broadcast_to(T.reshape(v, (b, 1, d)), (b, n, d)) for v in (q, m))
     feats = T.concat([T.mul(f, qb), T.mul(f, mb), abs_(sub(f, qb)), abs_(sub(f, mb))], 2)
     g = T.sum_axis(tanh(feats), 2)
-    return sigmoid(g) if squash else g
+    return T.mul(sigmoid(g) if squash else g, T.constant(np.asarray(valid, dtype=np.float64)))
 
 
 def take_rows(a, rows):
@@ -140,7 +225,7 @@ def take_rows(a, rows):
     matrix product too rather than a scatter."""
     one_hot = np.eye(a.shape[0])[np.asarray(rows)]
     flat = T.reshape(a, (a.shape[0], a.size // a.shape[0]))
-    return T.reshape(T.matmul(T.constant(one_hot), flat), (len(rows),) + a.shape[1:])
+    return T.reshape(matmul(T.constant(one_hot), flat), (len(rows),) + a.shape[1:])
 
 
 def matmul_stacked(a, b):

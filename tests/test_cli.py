@@ -204,6 +204,14 @@ class TestRunConfig:
         assert cli.main(["prepare", "--config", path]) == 1
         assert not os.path.exists(tmp_path / "corpus.tsv")
 
+    @pytest.mark.parametrize("projects", [1, 2])
+    def test_too_few_projects_fail_before_any_io(self, tmp_path, capsys, projects):
+        path = write_config(tmp_path, {"synthetic": {"projects": projects}})
+        assert cli.main(["prepare", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "synthetic.projects must be >= 3" in err
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_missing_config_file_is_usage_error(self):
         assert cli.main(["prepare", "--config", "/does/not/exist.json"]) == 1
 
@@ -530,6 +538,69 @@ class TestErrorContract:
         assert missing in done.stderr and "Traceback" not in done.stderr
 
 
+def flip_bit(blob: bytes) -> bytes:
+    """Bit 0 of the first line's first tab flipped, or of the first byte
+    when that line has no tab (a vocabulary's first reserved token, a
+    checkpoint's format line)."""
+    first = blob.split(b"\n", 1)[0]
+    at = first.index(b"\t") if b"\t" in first else 0
+    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+
+
+# (name, mutation of a data file's bytes); each leaves a file that no
+# reader may accept
+MUTATIONS = (
+    ("byte_flip", flip_bit),
+    ("truncated", lambda blob: blob[:len(blob.split(b"\n", 1)[0]) // 2]),
+    ("non_utf8", lambda blob: blob.replace(b"\n", b"\n\xff\xfe", 1)),
+    ("duplicate_line", lambda blob: blob.split(b"\n", 1)[0] + b"\n" + blob),
+    ("extra_field", lambda blob: blob.replace(b"\n", b"\textra\n", 1)),
+    ("empty", lambda blob: b""),
+)
+# data file of a prepared and trained run -> the commands that read it
+DATA_FILE_READERS = {
+    "train.tsv": ("train",),
+    "val.tsv": ("train",),
+    "test.tsv": ("predict", "evaluate"),
+    "code.vocab": ("train", "predict"),
+    "summary.vocab": ("train", "predict"),
+    "model.ckpt": ("predict",),
+    "model.preds": ("evaluate",),
+}
+
+
+class TestDataFileMutations:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """The data files of one tiny run: prepared, trained one epoch,
+        predicted."""
+        root = tmp_path_factory.mktemp("mutations")
+        path = write_config(root, {"max_epochs": 1})
+        for command in ("prepare", "train", "predict"):
+            assert cli.main([command, "--config", path]) == 0
+        return {name: (root / name).read_bytes() for name in DATA_FILE_READERS}
+
+    @pytest.mark.parametrize("name", sorted(DATA_FILE_READERS))
+    def test_every_reader_refuses_a_mutated_file_with_one_line(self, trained, tmp_path,
+                                                               capsys, name):
+        # 7 files x 6 mutations x their readers, each on a fresh copy of the run
+        for label, mutate in MUTATIONS:
+            for command in DATA_FILE_READERS[name]:
+                run = tmp_path / f"{label}-{command}"
+                run.mkdir()
+                path = write_config(run, {"max_epochs": 1})
+                for other, blob in trained.items():
+                    (run / other).write_bytes(mutate(blob) if other == name else blob)
+                capsys.readouterr()
+                files = {p: p.stat().st_mtime_ns for p in run.iterdir()}
+                code = cli.main([command, "--config", path])
+                err = capsys.readouterr().err
+                case = f"{name} {label}, {command}: exit {code}, stderr {err!r}"
+                assert code in (1, 2), case
+                assert len(err.splitlines()) == 1 and "Traceback" not in err, case
+                assert {p: p.stat().st_mtime_ns for p in run.iterdir()} == files, case
+
+
 class TestBlasThreads:
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -620,6 +691,28 @@ class TestAblate:
         assert len(baseline_rows) == 1 and baseline_rows[0]["name"] == "baseline"
         assert all(row["finite"] for row in report["rows"])
         assert_renders(out, cli.format_ablation)
+
+    @pytest.mark.parametrize("sweep", [
+        [{"name": "a\u0000b"}],
+        [{"name": 5, "h": 1}],
+        [{"name": None, "h": 1}],
+        [{"name": ["x"], "h": 1}],
+        [{"name": "x", "h": 1}, {"name": "x", "h": 3}],
+        [{"name": "baseline", "h": 1}],
+    ], ids=["nul", "number", "null", "list", "repeated", "implicit_baseline"])
+    def test_bad_names_exit_1_before_any_training(self, tmp_path, capsys, sweep):
+        path = write_config(tmp_path, {"max_epochs": 1})
+        assert cli.main(["prepare", "--config", path]) == 0
+        sweep_path = str(tmp_path / "sweep.json")
+        with open(sweep_path, "w") as fh:
+            json.dump(sweep, fh)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert cli.main(["ablate", "--config", path, "--sweep", sweep_path]) == 1
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "ablate:" not in out
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_sweep_entry_equal_to_baseline_is_the_baseline(self, tmp_path):
         path = write_config(tmp_path, {"max_epochs": 1})

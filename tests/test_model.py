@@ -142,7 +142,7 @@ def gate_value(f, q, m, squash=False):
     """The episodic gate of one statement vector, as a float."""
     f, q, m = (np.asarray(v, dtype=np.float64) for v in (f, q, m))
     g = T.episodic_gate(T.constant(f[None, None]), T.constant(q[None]), T.constant(m[None]),
-                        squash=squash)
+                        np.ones((1, 1)), squash=squash)
     return float(g.data[0, 0])
 
 
@@ -466,10 +466,11 @@ def assert_within(mine, theirs, rel=1e-12):
 
 
 class TestFusedKernels:
-    """gru_sequence, episodic_gate, take_rows and attend are one tape node
-    each, with hand-written backwards. Their values and every gradient must
-    agree within 1e-12 relative with op_graph's step loops and elementwise
-    graphs, alone and in a whole training step of each model variant."""
+    """gru_sequence, episodic_gate, take_rows, attend, dense and
+    cross_entropy are one tape node each, with hand-written backwards.
+    Their values and every gradient must agree within 1e-12 relative with
+    op_graph's step loops and elementwise graphs, alone and in a whole
+    training step of each model variant."""
 
     @pytest.mark.parametrize("kind", ["plain", "masked", "gated", "gated_squashed"])
     def test_sequence_matches_step_loop(self, kind):
@@ -494,7 +495,7 @@ class TestFusedKernels:
                 out = seq_op(x, w, gate=gate)
                 leaves.append(gate)
             else:
-                gate = T.mul(gate_op(x, q, m, kind == "gated_squashed"), T.constant(mask))
+                gate = gate_op(x, q, m, mask, kind == "gated_squashed")
                 out = seq_op(x, w, gate=gate)
                 leaves += [q, m]
             T.sum_all(T.mul(out, weights)).backward()
@@ -508,13 +509,15 @@ class TestFusedKernels:
         f = rng.uniform(-1, 1, (16, 3, 5))
         q, m = rng.uniform(-1, 1, (16, 5)), rng.uniform(-1, 1, (16, 5))
         q[0] = f[0, 1]                              # |f - q| = 0: the sign-0 branch
+        valid = np.ones((16, 3))
+        valid[1:4, 2] = valid[3, 1] = 0.0           # pad statements
         weights = T.constant(rng.uniform(0.5, 1.5, (16, 3)))
         results = []
         for gate_op in (T.episodic_gate, op_graph.episodic_gate):
             ft, qt, mt = (T.Tensor(a, requires_grad=True) for a in (f, q, m))
-            g1 = gate_op(ft, qt, mt, squash)
-            g2 = gate_op(ft, mt, mt, squash)        # one tensor as query and memory
-            T.sum_all(T.mul(T.add(g1, g2), weights)).backward()
+            g1 = gate_op(ft, qt, mt, valid, squash)
+            g2 = gate_op(ft, mt, mt, valid, squash)  # one tensor as query and memory
+            T.sum_all(T.mul(op_graph.add(g1, g2), weights)).backward()
             results.append([g1.data, g2.data, ft.grad, qt.grad, mt.grad])
         for mine, theirs in zip(*results):
             assert_within(mine, theirs)
@@ -550,25 +553,26 @@ class TestFusedKernels:
         assert len(set(picks.tolist())) == inputs.code_ids.shape[0] < 16
         targets = rng.integers(4, cfg.summary_vocab_size, size=16)
 
-        def step():
+        def step(cross_entropy):
             params = init_params(cfg)
             dists, _ = _forward_batch(inputs, params, cfg)
-            T.mean_all(T.cross_entropy(dists, targets)).backward()
+            T.mean_all(cross_entropy(dists, targets)).backward()
             return [dists.data] + [p.grad for _, p in params.items()]
 
-        fused = step()
+        fused = step(T.cross_entropy)
         calls = {}
-        for name in ("gru_sequence", "episodic_gate", "take_rows", "attend"):
+        for name in ("gru_sequence", "episodic_gate", "take_rows", "attend", "dense"):
             def counted(*args, _op=getattr(op_graph, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _op(*args, **kwargs)
             monkeypatch.setattr(stmtmem.model, name, counted)
-        graph = step()
+        graph = step(op_graph.cross_entropy)
         smn = cfg.encoder_kind == "smn"
         assert calls["gru_sequence"] == 2 + smn * (cfg.h + (cfg.statement_encoding == "eos"))
         assert calls.get("episodic_gate", 0) == smn * cfg.h
         assert calls["take_rows"] == 1 + smn * (1 + (cfg.gate_query == "constant_q"))
         assert calls["attend"] == 1 + smn
+        assert calls["dense"] == 2
         assert len(fused) == len(graph)
         for mine, theirs in zip(fused, graph):
             assert_within(mine, theirs)
@@ -595,8 +599,8 @@ class TestTape:
     criterion-6 and benchmark `train` configurations), not on the widths
     and lengths."""
 
-    NODES = {"smn_positional_constant_q": 36, "smn_eos_summary_vector": 38,
-             "attendgru_only": 21}
+    NODES = {"smn_positional_constant_q": 27, "smn_eos_summary_vector": 29,
+             "attendgru_only": 14}
     TRAIN_SHAPES = dict(tdatlen=96, comlen=13, e_dim=16, l_dim=16, h=2, n=10, y=10,
                         batch=8, code_vocab_size=200, summary_vocab_size=100,
                         projection_dim=32)

@@ -33,42 +33,51 @@ def leaf(data):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def mm(a, b):
+    """a @ b through dense with a zero bias."""
+    return T.dense(a, b, T.constant(np.zeros(b.shape[1])))
+
+
 class TestMatmul:
     def test_identity(self):
-        out = T.matmul(T.constant(np.eye(2)), T.constant([[5.0, 6.0], [7.0, 8.0]]))
+        out = mm(T.constant(np.eye(2)), T.constant([[5.0, 6.0], [7.0, 8.0]]))
         np.testing.assert_array_equal(out.data, [[5.0, 6.0], [7.0, 8.0]])
 
     def test_hand_product(self):
-        out = T.matmul(T.constant([[1.0, 2.0], [3.0, 4.0]]),
-                       T.constant([[5.0, 6.0], [7.0, 8.0]]))
+        out = mm(T.constant([[1.0, 2.0], [3.0, 4.0]]), T.constant([[5.0, 6.0], [7.0, 8.0]]))
         np.testing.assert_array_equal(out.data, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_zero_annihilates(self):
-        out = T.matmul(T.constant(np.zeros((3, 4))), T.constant(np.ones((4, 2))))
+        out = mm(T.constant(np.zeros((3, 4))), T.constant(np.ones((4, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 2))))
+    def test_shape_error_names_all_three_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\).*\(2,\)"):
+            mm(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 2))))
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(3, 2\).*\(3,\)"):
+            T.dense(T.constant(np.ones((2, 3))), T.constant(np.ones((3, 2))),
+                    T.constant(np.ones(3)))
 
     def test_gradients_flow_to_both_operands(self):
         a, b = leaf([[1.0, 2.0], [3.0, 4.0]]), leaf([[5.0, 6.0], [7.0, 8.0]])
-        T.sum_all(T.matmul(a, b)).backward()
+        bias = leaf([0.0, 0.0])
+        T.sum_all(T.dense(a, b, bias)).backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 2)) @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((2, 2)))
+        np.testing.assert_array_equal(bias.grad, [2.0, 2.0])
 
     def test_associativity_and_distributivity_random(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, b, c = (rng.uniform(-1, 1, (3, 3)) for _ in range(3))
             ta, tb, tc = map(T.constant, (a, b, c))
-            assoc_l = T.matmul(T.matmul(ta, tb), tc).data
-            assoc_r = T.matmul(ta, T.matmul(tb, tc)).data
+            assoc_l = mm(mm(ta, tb), tc).data
+            assoc_r = mm(ta, mm(tb, tc)).data
             np.testing.assert_allclose(assoc_l, assoc_r, atol=1e-9)
-            ident = T.matmul(ta, T.constant(np.eye(3))).data
+            ident = mm(ta, T.constant(np.eye(3))).data
             np.testing.assert_allclose(ident, a, atol=1e-12)
-            dist_l = T.matmul(ta, T.add(tb, tc)).data
-            dist_r = T.add(T.matmul(ta, tb), T.matmul(ta, tc)).data
+            dist_l = mm(ta, T.constant(b + c)).data
+            dist_r = mm(ta, tb).data + mm(ta, tc).data
             np.testing.assert_allclose(dist_l, dist_r, atol=1e-9)
 
 
@@ -115,7 +124,7 @@ class TestElementwise:
         np.testing.assert_array_equal(x.grad, [-1.0, 0.0])
 
     def test_binary_ops_reject_shape_mismatch(self):
-        for op in (T.add, op_graph.sub, T.mul):
+        for op in (op_graph.add, op_graph.sub, T.mul):
             with pytest.raises(DimensionError):
                 op(T.constant(np.ones(3)), T.constant(np.ones(4)))
 
@@ -245,25 +254,25 @@ class TestEmbeddingLookup:
         # values spread over 24 orders of magnitude, so that adding in
         # another order would change the low bits; ids repeat, one table
         # is read by two lookups (as embed.code is by the code and by the
-        # statements), and two gathers pick from one matrix
+        # statements), and two cross-entropies pick from one matrix
         rng = np.random.default_rng(5)
         spread = lambda shape: rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, shape)
-        table, probs = spread((7, 4)), spread((6, 9))
+        table, probs = spread((7, 4)), np.abs(spread((6, 9)))
         code_ids = rng.integers(0, 7, (6, 30))
         stmt_ids = rng.integers(0, 3, (6, 5, 4))
         picks = [rng.integers(0, 9, 6), rng.integers(0, 9, 6)]
         w_code, w_stmt = spread((6, 30, 4)), spread((6, 5, 4, 4))
         w_pick = [spread(6), spread(6)]
         grads = []
-        for lookup, gather in ((T.embedding_lookup, T.gather_index),
-                               (op_graph.embedding_lookup, op_graph.gather_index)):
+        for lookup, pick in ((T.embedding_lookup, T.cross_entropy),
+                             (op_graph.embedding_lookup, op_graph.cross_entropy)):
             tab, pr = leaf(table), leaf(probs)
             terms = [T.mul(lookup(tab, code_ids), T.constant(w_code)),
                      T.mul(lookup(tab, stmt_ids), T.constant(w_stmt))]
-            terms += [T.mul(gather(pr, p), T.constant(w)) for p, w in zip(picks, w_pick)]
+            terms += [T.mul(pick(pr, p), T.constant(w)) for p, w in zip(picks, w_pick)]
             loss = T.sum_all(terms[0])
             for term in terms[1:]:
-                loss = T.add(loss, T.sum_all(term))
+                loss = op_graph.add(loss, T.sum_all(term))
             loss.backward()
             grads.append((tab.grad, pr.grad))
         (mine_tab, mine_pr), (ref_tab, ref_pr) = grads
@@ -357,6 +366,67 @@ class TestCrossEntropy:
         np.testing.assert_allclose(out.data, [-np.log(0.5), -np.log(0.75)])
 
 
+class TestOneNodeLayers:
+    """dense, cross_entropy and the masked episodic_gate replace chains of
+    tape nodes; their values and every gradient are bitwise the chains'."""
+
+    @staticmethod
+    def run(build, arrays, weights):
+        leaves = [leaf(a) for a in arrays]
+        out = build(*leaves)
+        T.sum_all(T.mul(out, T.constant(weights))).backward()
+        return [out.data.tobytes()] + [x.grad.tobytes() for x in leaves]
+
+    @pytest.mark.parametrize("shape", [(100, 13, 32), (100, 27)])
+    def test_dense_is_bitwise_matmul_broadcast_add(self, shape):
+        # the output layers' training shapes: [B, comlen, projection] from
+        # [B, comlen, 3l], and [B, v] from the flattened projection
+        rng = np.random.default_rng(4)
+        k = 48 if len(shape) == 3 else 416
+        arrays = [rng.normal(size=shape[:-1] + (k,)), rng.normal(size=(k, shape[-1])),
+                  rng.normal(size=shape[-1])]
+        weights = rng.normal(size=shape)
+        mine = self.run(T.dense, arrays, weights)
+        assert mine == self.run(op_graph.dense, arrays, weights)
+        # the bias sum is order-sensitive here: summing in C order differs
+        c_order = weights.sum(axis=tuple(range(len(shape) - 1)))
+        assert c_order.tobytes() != mine[3]
+
+    def test_cross_entropy_is_bitwise_the_gather_clamp_log_neg_chain(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(9, 27))
+        targets = rng.integers(0, 27, 9)
+        logits[2, targets[2]] = -60.0               # p < 1e-12: clamped, gradient 0
+        weights = rng.uniform(0.5, 1.5, 9)
+        results = [self.run(lambda x: ce(T.softmax(x), targets), [logits], weights)
+                   for ce in (T.cross_entropy, op_graph.cross_entropy)]
+        assert results[0] == results[1]
+        pred = leaf(T.softmax(T.constant(logits)).data)
+        T.sum_all(T.cross_entropy(pred, targets)).backward()
+        assert pred.data[2, targets[2]] < 1e-12 and pred.grad[2].tolist() == [0.0] * 27
+        assert np.count_nonzero(pred.grad) == 8
+
+    @pytest.mark.parametrize("squash", [False, True])
+    def test_masked_gate_is_bitwise_the_gate_times_its_mask(self, squash):
+        rng = np.random.default_rng(2)
+        arrays = [rng.uniform(-1, 1, (6, 5, 4)), rng.uniform(-1, 1, (6, 4)),
+                  rng.uniform(-1, 1, (6, 4))]
+        valid = rng.integers(0, 2, (6, 5)).astype(bool)
+        weights = rng.uniform(0.5, 1.5, (6, 5))
+        masked = self.run(lambda f, q, m: T.episodic_gate(f, q, m, valid, squash),
+                          arrays, weights)
+        chain = self.run(lambda f, q, m: T.mul(T.episodic_gate(f, q, m, np.ones((6, 5)), squash),
+                                               T.constant(valid.astype(np.float64))),
+                         arrays, weights)
+        assert masked == chain
+
+    def test_cross_entropy_checks_shapes(self):
+        with pytest.raises(DimensionError, match="want 2 ids"):
+            T.cross_entropy(T.constant(np.full((2, 3), 0.5)), [1])
+        with pytest.raises(DimensionError):
+            T.cross_entropy(T.constant(np.full(3, 0.5)), [1])
+
+
 class TestBackward:
     def test_square_derivative(self):
         x = leaf([3.0])
@@ -377,7 +447,7 @@ class TestBackward:
         # backward reads it; the leaves keep exact gradients
         x, w = leaf([1.0, -2.0, 3.0]), leaf([0.5, 2.0, -1.0])
         y = T.mul(x, x)
-        s = T.add(y, y)
+        s = op_graph.add(y, y)
         loss = T.sum_all(T.mul(s, w))
         loss.backward()
         assert y.grad is None and s.grad is None and loss.grad is None
@@ -447,7 +517,7 @@ class TestFiniteDifferenceInvariant:
     def test_every_kernel_has_a_gradient_check(self):
         # a kernel is a public function of stmtmem.tensor that takes a
         # Tensor and returns one; a case is named after its kernel, with
-        # an optional _suffix for a variant (matmul_shared)
+        # an optional _suffix for a variant (dense_shared)
         def is_kernel(fn):
             sig = inspect.signature(fn)
             return sig.return_annotation == "Tensor" and any(
@@ -456,7 +526,7 @@ class TestFiniteDifferenceInvariant:
         kernels = {name for name, fn in vars(T).items()
                    if inspect.isfunction(fn) and fn.__module__ == T.__name__
                    and not name.startswith("_") and is_kernel(fn)}
-        assert {"matmul", "attend", "gru_sequence", "gru_cell", "episodic_gate",
+        assert {"dense", "cross_entropy", "attend", "gru_sequence", "gru_cell", "episodic_gate",
                 "take_rows"} <= kernels
         cases = [name for name, _, _ in verify.op_check_cases(np.random.default_rng(0))]
         checked = {}
