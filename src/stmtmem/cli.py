@@ -109,6 +109,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        model = raw.get("model") if isinstance(raw, dict) else None
+        if isinstance(model, dict) and "rng_seed" in model:   # else ignored for the run's seed
+            raise ConfigError("invalid config: model.rng_seed is set by the run's seed; remove it")
         return parse_section(raw, "config", cls)
 
 

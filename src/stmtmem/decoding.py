@@ -54,9 +54,8 @@ class LoadedModel:
 
     def encode(self, encoded: Sequence[EncodedSample]) -> EncoderState:
         """The samples' prefix-independent state, one row per sample."""
-        inputs = batch_inputs(encoded)
         with no_grad():
-            return encode(inputs, self.params, self.config).select(inputs.rows)
+            return encode(batch_inputs(encoded), self.params, self.config)
 
     def next_dist(self, state: EncoderState,
                   prefixes) -> tuple[np.ndarray, np.ndarray | None]:

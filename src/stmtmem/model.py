@@ -19,7 +19,7 @@ state ("summary_vector").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -42,14 +42,13 @@ from .tensor import (
     embedding_lookup,
     episodic_gate,
     gru_sequence,
-    mul,
     no_grad,
     relu,
     reshape,
     slice_axis,
     softmax,
-    sum_axis,
     take_rows,
+    weighted_bag,
 )
 
 def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -164,10 +163,8 @@ def encode_statements_positional(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
                                  embedding: Tensor, p_matrix: np.ndarray) -> Tensor:
     """F_t = sum over word positions y of emb(word) * P[:, y], restricted to
     the statement's true length; all-pad rows stay zero."""
-    # P'[y, x] per word slot, times the 0/1 mask of the statement's length
-    weights = p_matrix.T * _length_mask(stmt_lengths, stmt_ids.shape[2])[..., None]
-    emb = embedding_lookup(embedding, stmt_ids)                   # [B, n, Y, e]
-    return sum_axis(mul(emb, constant(weights)), 2)               # [B, n, e]
+    mask = _length_mask(stmt_lengths, stmt_ids.shape[2])          # [B, n, Y]
+    return weighted_bag(embedding, stmt_ids, p_matrix.T, mask)    # [B, n, e]
 
 
 def encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
@@ -212,23 +209,19 @@ def memory_hops(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,
 
 @dataclass
 class EncoderState:
-    """The part of a forward pass that does not read the summary prefix,
-    computed once per batch of samples and shared by every decode step."""
+    """The part of a forward pass that does not read the summary prefix, for
+    K distinct samples; `rows` maps each row the head runs on to its sample."""
 
-    h_enc: Tensor                       # [B, T, l] code-GRU states
-    f: Tensor | None = None             # [B, k, d] statement vectors (smn), k <= n used slots
-    valid: np.ndarray | None = None     # [B, k] real-statement mask (smn)
-    mem: Tensor | None = None           # [B, h, d] memory stack (constant_q)
-    gates: np.ndarray | None = None     # [B, h, k] gate values (constant_q)
+    h_enc: Tensor                       # [K, T, l] code-GRU states
+    rows: np.ndarray                    # [B] each row's sample in [0, K)
+    f: Tensor | None = None             # [K, k, d] statement vectors (smn), k <= n used slots
+    valid: np.ndarray | None = None     # [K, k] real-statement mask (smn)
+    mem: Tensor | None = None           # [K, h, d] memory stack (constant_q)
+    gates: np.ndarray | None = None     # [K, h, k] gate values (constant_q)
 
     def select(self, rows: Sequence[int]) -> "EncoderState":
-        """The state of batch rows `rows` alone, in that order; a row may
-        repeat, and gradients flow back to the rows selected."""
-        def pick(value):
-            if isinstance(value, Tensor):
-                return take_rows(value, rows)
-            return None if value is None else value[rows]
-        return EncoderState(*(pick(getattr(self, f.name)) for f in fields(self)))
+        """Rows `rows` of this state, in order, repeats allowed; no tensor is copied."""
+        return replace(self, rows=self.rows[rows])
 
 
 def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig) -> EncoderState:
@@ -236,7 +229,7 @@ def encode(inputs: ModelInputs, params: ParameterSet, config: ModelConfig) -> En
     are not read). Under the constant_q query the memory stack does not
     depend on the prefix either, so it is computed here too."""
     emb_code = embedding_lookup(params["embed.code"], inputs.code_ids)
-    state = EncoderState(h_enc=gru_sequence(emb_code, gru_weights(params, "enc_gru")))
+    state = EncoderState(gru_sequence(emb_code, gru_weights(params, "enc_gru")), inputs.rows)
     if config.encoder_kind == "smn":
         # slots past the batch's last statement are pad steps of every hop,
         # which leave the memory exactly as it is; keep at least one slot
@@ -267,24 +260,25 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
     slots 0; None without the memory branch). Under the summary_vector
     query the memory hops run here, gated against the decoder's final
     state."""
-    b = summary_ids.shape[0]
+    b, rows = summary_ids.shape[0], state.rows
     emb_sum = embedding_lookup(params["embed.summary"], summary_ids)
     h_dec = gru_sequence(emb_sum, gru_weights(params, "dec_gru"))          # [B, C, l]
 
     gates = None
     parts = []
-    parts.append(attend(h_dec, state.h_enc))                                # ctx over code
+    parts.append(attend(h_dec, state.h_enc, rows))                          # ctx over code
 
     if config.encoder_kind == "smn":
         mem, gate_values = state.mem, state.gates
         if config.gate_query == "summary_vector":
             q = slice_axis(h_dec, 1, config.comlen - 1)                     # decoder final state
-            mem, gate_values = memory_hops(state.f, q, state.valid, config.h,
-                                           gru_weights(params, "episodic_gru"),
+            mem, gate_values = memory_hops(take_rows(state.f, rows), q, state.valid[rows],
+                                           config.h, gru_weights(params, "episodic_gru"),
                                            config.gate_squash)
-        parts.append(attend(h_dec, mem))                                     # ctx over memories
+            rows = np.arange(b)
+        parts.append(attend(h_dec, mem, rows))                               # ctx over memories
         gates = np.zeros((b, config.h, config.n))                  # trimmed pad slots read 0
-        gates[:, :, :gate_values.shape[2]] = gate_values
+        gates[:, :, :gate_values.shape[2]] = gate_values[rows]
 
     parts.append(h_dec)
     context = concat(parts, 2)
@@ -296,11 +290,10 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
 
 def _forward_batch(inputs: ModelInputs, params: ParameterSet,
                    config: ModelConfig) -> tuple[Tensor, np.ndarray | None]:
-    """Batched forward pass: encode each distinct sample once, expand the
-    state to the batch rows, and run the head on them; returns the [B, v]
-    next-word distributions and the [B, h, n] gates (see `head`)."""
-    state = encode(inputs, params, config).select(inputs.rows)
-    return head(state, inputs.summary_ids, params, config)
+    """Batched forward pass: encode each distinct sample once and run the
+    head on the batch rows; returns the [B, v] next-word distributions and
+    the [B, h, n] gates (see `head`)."""
+    return head(encode(inputs, params, config), inputs.summary_ids, params, config)
 
 
 def forward(encoded: EncodedSample, params: ParameterSet,

@@ -157,16 +157,22 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParameterSet]:
             blob = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    form = f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"
+    part = "header"            # the part read, named by the errors below
     try:
-        head, _, rest = blob.partition(b"\ndata\n")
+        head, found, rest = blob.partition(b"\ndata\n")
         lines = head.decode("utf-8").split("\n")
-        magic, version = lines[0].rsplit(" ", 1)
-        if magic != CHECKPOINT_MAGIC or int(version) != CHECKPOINT_VERSION:
-            raise ValueError(f"bad magic line {lines[0]!r}")
+        if lines[0] != form:
+            raise ValueError(f"its format line is {lines[0][:40]!r}, not {form!r}")
+        part = "config line"
         config = ModelConfig.from_dict(json.loads(lines[1]))
+        part = "manifest count"
         count = int(lines[2])
+        part = "manifest"
+        if not found:
+            raise ValueError("no 'data' line follows it")
         if len(lines) != 3 + count:
-            raise ValueError(f"the manifest has {len(lines) - 3} lines, its count says {count}")
+            raise ValueError(f"it has {len(lines) - 3} lines, its count says {count}")
         expected = {name: shape for name, shape, _ in _param_specs(config)}
         params = ParameterSet(config.rng_seed)
         end = 0
@@ -180,8 +186,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParameterSet]:
                                 f"the stored config needs {expected[name]}")
             n_items = math.prod(shape)
             if int(offset) != end or end + 8 * n_items > len(rest):
-                raise DataError(f"checkpoint {path}: data of parameter {name!r} is not at "
-                                f"bytes {end}..{end + 8 * n_items} of the data section")
+                raise DataError(f"checkpoint {path}: the data section holds {len(rest)} bytes; "
+                                f"parameter {name!r} at offset {offset} needs {end}..{end + 8 * n_items}")
             arr = np.frombuffer(rest, dtype="<f8", count=n_items, offset=end)
             params.add(name, arr.reshape(shape).copy())
             end += 8 * n_items
@@ -192,6 +198,8 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParameterSet]:
             raise DataError(f"checkpoint {path}: {len(rest) - end} bytes after the last parameter")
     except DataError:
         raise
+    except IndexError:
+        raise DataError(f"corrupt checkpoint {path}: the header ends before its {part}") from None
     except Exception as exc:
-        raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
+        raise DataError(f"corrupt checkpoint {path}: {part}: {exc}") from exc
     return config, params

@@ -10,6 +10,9 @@ interior node's gradient is released as soon as its backward has used it.
 dense is the one product against a weight matrix: x [..., r, k] @ w [k, c]
 + b [c]. Products of two stacks occur only inside the fused kernels
 (attend, gru_sequence).
+
+A kernel's backward keeps only the arrays it reads and forms again what is
+cheap to form (attend's row keys, gru_sequence's r*h, weighted_bag's masks).
 """
 
 from __future__ import annotations
@@ -205,32 +208,36 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def attend(q: Tensor, k: Tensor) -> Tensor:
-    """Dot-product attention of the queries q [B, C, l] over keys k [B, T, l]
-    that are also the values: softmax(q kᵀ) k, [B, C, l], as one tape node.
-    The float operations are those of the chain matmul, softmax, matmul, so
-    the values and gradients are bitwise the chain's. The softmax and the
-    score gradient are formed in the buffers of q kᵀ and g kᵀ, and the key's
-    two gradient terms, yᵀg and (qᵀ gs)ᵀ, are summed in one buffer."""
-    qd, kd = q.data, k.data
-    if qd.ndim != 3 or kd.ndim != 3 or qd.shape[::2] != kd.shape[::2]:
-        raise DimensionError(f"attend: queries {qd.shape} and keys {kd.shape} "
-                             f"must be [B, C, l] and [B, T, l]")
-    scores = qd @ kd.swapaxes(-1, -2)                            # [B, C, T]
+def attend(q: Tensor, k: Tensor, rows) -> Tensor:
+    """Dot-product attention of the queries q [B, C, l], read contiguous,
+    over keys k [K, T, l] that are also the values, row b reading k[rows[b]]:
+    softmax(q kᵀ) k, [B, C, l], as one tape node, bitwise the chain
+    take_rows, matmul, softmax, matmul. The row keys are gathered again in
+    the backward, not kept, and their gradient is added to k's rows in
+    take_rows' order. The softmax and the score gradient are formed in the
+    buffers of q kᵀ and g kᵀ, and the key's two gradient terms, yᵀg and
+    (qᵀ gs)ᵀ, are summed in one buffer."""
+    qd, kd, index = np.ascontiguousarray(q.data), k.data, np.asarray(rows, dtype=np.int64)
+    if qd.ndim != 3 or kd.ndim != 3 or qd.shape[2] != kd.shape[2] or index.shape != qd.shape[:1]:
+        raise DimensionError(f"attend: queries {qd.shape}, keys {kd.shape} and rows "
+                             f"{index.shape} must be [B, C, l], [K, T, l] and [B]")
+    keys = kd[index]                                             # [B, T, l]
+    scores = qd @ keys.swapaxes(-1, -2)                          # [B, C, T]
     y = _softmax_values(scores, "attend", out=scores)
 
     def backward(g):
-        gs = g @ kd.swapaxes(-1, -2)                            # d loss / d y, then
+        keys = kd[index]
+        gs = g @ keys.swapaxes(-1, -2)                          # d loss / d y, then
         gs -= np.sum(gs * y, axis=-1, keepdims=True)            # d loss / d scores
         gs *= y
         if q.requires_grad:
-            q._accumulate(gs @ kd)
+            q._accumulate(gs @ keys)
         if k.requires_grad:
             gk = y.swapaxes(-1, -2) @ g
             gk += (qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-            k._accumulate(gk)
+            _add_rows(k, index, gk)
 
-    return _make(y @ kd, (q, k), backward)
+    return _make(y @ keys, (q, k), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -258,49 +265,60 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), backward)
 
 
+def _check_ids(ids, size: int) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+        raise VocabularyError(f"token id {bad} outside vocabulary of size {size}")
+    return ids
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of a [V, E] table; gradients scatter-add back into it."""
     if table.ndim != 2:
         raise DimensionError(f"embedding_lookup: table must be 2-d, got {table.shape}")
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    vocab = table.shape[0]
-    if ids_arr.size:
-        lo, hi = int(ids_arr.min()), int(ids_arr.max())
-        if lo < 0 or hi >= vocab:
-            bad = lo if lo < 0 else hi
-            raise VocabularyError(f"token id {bad} outside vocabulary of size {vocab}")
-    out = table.data[ids_arr]
+    ids_arr = _check_ids(ids, table.shape[0])
 
     def backward(g):
         if table.requires_grad:
-            width = table.shape[1]
-            flat_ids = ids_arr.reshape(-1, 1) * width + np.arange(width)
-            _scatter_add(table, flat_ids, g)
+            _scatter_add(table, ids_arr, g)
 
-    return _make(out, (table,), backward)
+    return _make(table.data[ids_arr], (table,), backward)
 
 
-def _scatter_add(a: Tensor, flat_index: np.ndarray, g: np.ndarray) -> None:
-    """Add g into a's gradient at the flat positions `flat_index` (same
-    shape as g), repeats allowed. One 1-d np.add.at makes the additions of
-    the 2-d np.add.at over rows in the same order, so the sums are bitwise
-    the same; for 7,008 ids of width 16 it takes 0.36 ms with the index
-    built, against 1.4 ms."""
+def weighted_bag(table: Tensor, ids, weights: np.ndarray, mask) -> Tensor:
+    """Σ_y table[ids[..., y]] * weights[y] * mask[..., y] for ids [..., Y]
+    into a [V, E] table, slot weights [Y, E] and a 0/1 mask [..., Y]: one
+    tape node that holds the ids and the mask, not the [..., Y, E] gather.
+    (x w) m is bitwise x (w m) for a 0/1 m, signed zeros included, so values
+    and gradients are those of the chain embedding_lookup, mul, sum over Y."""
+    ids = _check_ids(ids, table.shape[0])
+    mask = np.asarray(mask, dtype=np.float64)[..., None]
+    if mask.shape[:-1] != ids.shape or weights.shape != (ids.shape[-1], table.shape[1]):
+        raise DimensionError(f"weighted_bag: ids {ids.shape}, weights {weights.shape} and "
+                             f"mask {mask.shape[:-1]} must be [..., Y], [Y, E] and [..., Y]")
+
+    def backward(g):
+        if table.requires_grad:
+            _scatter_add(table, ids, g[..., None, :] * weights * mask)
+
+    return _make((table.data[ids] * weights * mask).sum(axis=-2), (table,), backward)
+
+
+def _scatter_add(a: Tensor, rows: np.ndarray, g: np.ndarray) -> None:
+    """Add g into rows `rows` of a's gradient seen as rows of g.size /
+    rows.size entries, repeats allowed. One 1-d np.add.at makes the
+    additions of the 2-d np.add.at over rows in the same order, so the sums
+    are bitwise the same; for 7,008 ids of width 16 it takes 0.36 ms with
+    the index built, against 1.4 ms."""
     if a.grad is None:
         a.grad = np.zeros(a.shape)
     if not a.grad.flags.c_contiguous:
         raise UsageError(f"scatter: gradient buffer of shape {a.shape} is not C-contiguous, "
                          f"so it has no flat view")
+    width = g.size // max(rows.size, 1)
+    flat_index = rows.reshape(-1, 1) * width + np.arange(width)
     np.add.at(a.grad.reshape(-1), flat_index.reshape(-1), g.reshape(-1))
-
-
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            gexp = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gexp, a.shape))
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -356,9 +374,7 @@ def cross_entropy(pred: Tensor, target) -> Tensor:
     ids = np.asarray(target, dtype=np.int64)
     if ids.shape != (b,):
         raise DimensionError(f"cross_entropy: want {b} ids, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-        raise VocabularyError(f"token id {bad} outside vocabulary of size {v}")
+    ids = _check_ids(ids, v)
     flat_index = np.arange(b) * v + ids
     p = pred.data.reshape(-1)[flat_index]
     floored = np.maximum(p, 1e-12)
@@ -389,12 +405,16 @@ def take_rows(a: Tensor, rows) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            for source, row in enumerate(index.tolist()):
-                a.grad[row] += g[source]
+            _add_rows(a, index, g)
 
     return _make(a.data[index], (a,), backward)
+
+
+def _add_rows(a: Tensor, rows: np.ndarray, g: np.ndarray) -> None:
+    if a.grad is None:
+        a.grad = np.zeros(a.shape)
+    for source, row in enumerate(rows.tolist()):
+        a.grad[row] += g[source]
 
 
 def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
@@ -410,11 +430,12 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
     gate is the episodic memory's update. One tape node: the input products
     of all steps, biases included, are one batched product (Appleyard et
     al., arXiv 1604.01946), and the backward runs backpropagation through
-    time in one closure. Inside, a step's values are [features, B], so the
-    carry to the previous step is one product against [uz | ur] and every
-    elementwise call runs over one contiguous block; each step computes its
-    own factors, which at these shapes is cheaper than a pass over all
-    steps at once. At small B a step costs its numpy calls rather than
+    time in one closure, which keeps z|r, h~ and the states (the output is
+    their view) and recomputes every r*h in one product. Inside, a step's
+    values are [features, B], so the carry to the previous step is one
+    product against [uz | ur] and every elementwise call runs over one
+    contiguous block; each step computes its own factors, cheaper at these
+    shapes than a pass over all steps at once. At small B a step costs its numpy calls rather than
     their arithmetic, so the loops make few. z and r come from their negated
     pre-activations, (-[uz | ur]ᵀ) h + (-(W x + b)), so their sigmoid
     negates nothing per step; IEEE negation is exact, so the bits are those
@@ -440,13 +461,13 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
     # C order matters: an F-ordered operand takes another BLAS path
     nu_zr_t, uh_t = -np.ascontiguousarray(u_zr.T), np.ascontiguousarray(uh.T)
     a_fm = [None] * steps if gate is None else gate.data.T[:, None, :]   # [T, 1, B]
-    zrs, hbars, rhs = (np.empty((steps, k, b)) for k in (2 * l, l, l))
+    zrs, hbars, rh = np.empty((steps, 2 * l, b)), np.empty((steps, l, b)), np.empty((l, b))
     zs, rs = zrs[:, :l], zrs[:, l:]
     hs = np.empty((steps + 1, l, b))                            # hs[t]: state step t starts from
     hs[0] = 0.0 if h0 is None else h0.data.T
     with np.errstate(over="ignore"):
-        for h, c, zr, z, r, rh, hbar, nxw, xwh, a in zip(
-                hs[:-1], hs[1:], zrs, zs, rs, rhs, hbars, nxw_zr, xw_h, a_fm):
+        for h, c, zr, z, r, hbar, nxw, xwh, a in zip(
+                hs[:-1], hs[1:], zrs, zs, rs, hbars, nxw_zr, xw_h, a_fm):
             np.dot(nu_zr_t, h, out=zr)
             zr += nxw
             _sigmoid_of_negated(zr)
@@ -464,6 +485,7 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
 
     def backward(g):
         gcs = np.ascontiguousarray(g.transpose(1, 2, 0))        # [T, l, B]; step t adds its carry
+        rhs = np.multiply(rs, hs[:-1])                          # every step's r*h, recomputed
         gpre = np.empty((steps, 3 * l, b))                      # pre-activation grads [h~ | z | r]
         g_h, g_zr = gpre[:, :l], gpre[:, l:]
         g_z, g_r = gpre[:, l:2 * l], gpre[:, 2 * l:]
@@ -510,7 +532,7 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
             gate._accumulate(np.sum(gcs * (1.0 - zs) * (hbars - hs[:-1]), axis=1).T)
 
     parents = (x, *w) + tuple(p for p in (gate, h0) if p is not None)
-    return _make(hs[1:].transpose(2, 0, 1).copy(), parents, backward)
+    return _make(hs[1:].transpose(2, 0, 1), parents, backward)
 
 
 def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:

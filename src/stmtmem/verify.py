@@ -108,7 +108,7 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
     m42 = _leaf(rng, (4, 2))
     bias2 = _leaf(rng, (2,))
     batch_a = _leaf(rng, (2, 3, 4))
-    keys = _leaf(rng, (2, 5, 4))
+    keys = _leaf(rng, (1, 5, 4))
     table = _leaf(rng, (5, 3))
     ids = rng.integers(0, 5, size=(2, 3))
     logits = _leaf(rng, (3, 5))
@@ -133,10 +133,10 @@ def op_check_cases(rng: np.random.Generator) -> list[tuple[str, Callable[[], T.T
         ("dense", lambda: p(T.dense(m34, m42, bias2)), [m34, m42, bias2]),
         ("dense_shared", lambda: p(T.dense(batch_a, m42, bias2)), [batch_a, m42, bias2]),
         ("softmax", lambda: p(T.softmax(logits, axis=-1)), [logits]),
-        ("attend", lambda: p(T.attend(batch_a, keys)), [batch_a, keys]),
+        ("attend", lambda: p(T.attend(batch_a, keys, [0, 0])), [batch_a, keys]),
         ("concat", lambda: p(T.concat([a34, b34, m34], axis=1)), [a34, b34, m34]),
         ("embedding_lookup", lambda: p(T.embedding_lookup(table, ids)), [table]),
-        ("sum_axis", lambda: p(T.sum_axis(batch_a, 1)), [batch_a]),
+        ("weighted_bag", lambda: p(T.weighted_bag(table, ids, m34.data[:, 1:], valid)), [table]),
         ("sum_all", lambda: p(T.sum_all(a34)), [a34]),
         ("mean_all", lambda: p(T.mean_all(a34)), [a34]),
         ("reshape", lambda: p(T.reshape(a34, (2, 6))), [a34]),

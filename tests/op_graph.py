@@ -1,14 +1,14 @@
 """Op-graph references for the fused kernels.
 
-`gru_sequence`, `episodic_gate`, `take_rows`, `attend`, `dense` and
-`cross_entropy` in `stmtmem.tensor` are one tape node each, with
-hand-written backwards. The step loops and graphs of elementwise tape ops
-below compute the same functions one op per node, so their values and
+`gru_sequence`, `episodic_gate`, `take_rows`, `attend`, `weighted_bag`,
+`dense` and `cross_entropy` in `stmtmem.tensor` are one tape node each,
+with hand-written backwards. The step loops and graphs of elementwise tape
+ops below compute the same functions one op per node, so their values and
 gradients must agree with the kernels' up to the order of float sums (for
-`attend`, `dense`, `cross_entropy` and the gate's mask, bitwise). The ops
-those graphs need, and the model does not, live here rather than in the
-package, as do the earlier forms of two kernels: the two-branch sigmoid and
-the 2-d np.add.at scatters.
+`attend`, `weighted_bag`, `dense`, `cross_entropy` and the gate's mask,
+bitwise). The ops those graphs need, and the model does not, live here
+rather than in the package, as do the earlier forms of two kernels: the
+two-branch sigmoid and the 2-d np.add.at scatters.
 """
 
 import numpy as np
@@ -91,6 +91,21 @@ def dense(x, w, b):
     """x @ w + b as the chain matmul, broadcast_to, add."""
     s = matmul(x, w)
     return add(s, broadcast_to(b, s.shape))
+
+
+def sum_axis(a, axis):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape))
+
+    return T._make(a.data.sum(axis=axis), (a,), backward)
+
+
+def weighted_bag(table, ids, weights, mask):
+    """The chain embedding_lookup (2-d np.add.at), mul by the masked slot
+    weights, sum over the slots."""
+    masked = weights * np.asarray(mask, dtype=np.float64)[..., None]
+    return sum_axis(T.mul(embedding_lookup(table, ids), T.constant(masked)), -2)
 
 
 def add_const(a, c):
@@ -216,7 +231,7 @@ def episodic_gate(f, q, m, valid, squash=False):
     b, n, d = f.shape
     qb, mb = (broadcast_to(T.reshape(v, (b, 1, d)), (b, n, d)) for v in (q, m))
     feats = T.concat([T.mul(f, qb), T.mul(f, mb), abs_(sub(f, qb)), abs_(sub(f, mb))], 2)
-    g = T.sum_axis(tanh(feats), 2)
+    g = sum_axis(tanh(feats), 2)
     return T.mul(sigmoid(g) if squash else g, T.constant(np.asarray(valid, dtype=np.float64)))
 
 
@@ -250,6 +265,11 @@ def transpose_last2(a):
     return T._make(a.data.swapaxes(-1, -2), (a,), backward)
 
 
-def attend(q, k):
-    """softmax(q kᵀ) k as the chain of four tape nodes."""
-    return matmul_stacked(T.softmax(matmul_stacked(q, transpose_last2(k)), axis=-1), k)
+def attend(q, k, rows):
+    """softmax(q kᵀ) k over the keys of each row's sample, as the chain of
+    a row gather (the flattened keys' rows, scattered back with a 2-d
+    np.add.at in take_rows' order) and four tape nodes."""
+    samples, steps, width = k.shape
+    keys = T.reshape(embedding_lookup(T.reshape(k, (samples, steps * width)), rows),
+                     (len(rows), steps, width))
+    return matmul_stacked(T.softmax(matmul_stacked(q, transpose_last2(keys)), axis=-1), keys)

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -404,6 +405,8 @@ CORRUPT_INPUTS = {
     "exclude_id_not_a_string": (1, "exclude_ids must be a JSON list of strings", "prepare",
                                 lambda root: edit_config(
                                     root, lambda raw: raw["split"].update(exclude_ids=[[1]]))),
+    "model_rng_seed_set": (1, "model.rng_seed is set by the run's seed", "prepare",
+                           lambda root: edit_config(root, set_model(rng_seed=5))),
     "max_epochs_zero": (1, "max_epochs must be >= 1", "train",
                         lambda root: edit_config(root, lambda raw: raw.update(max_epochs=0))),
     "dataset_non_utf8": (2, "dataset", "prepare", lambda root: (
@@ -557,6 +560,9 @@ MUTATIONS = (
     ("extra_field", lambda blob: blob.replace(b"\n", b"\textra\n", 1)),
     ("empty", lambda blob: b""),
 )
+# (file, mutation) -> text the one stderr line holds
+MUTATION_MESSAGES = {("model.ckpt", "truncated"): "format line is 'stmtmem-ch', not",
+                     ("model.ckpt", "empty"): "format line is '', not"}
 # data file of a prepared and trained run -> the commands that read it
 DATA_FILE_READERS = {
     "train.tsv": ("train",),
@@ -598,7 +604,34 @@ class TestDataFileMutations:
                 case = f"{name} {label}, {command}: exit {code}, stderr {err!r}"
                 assert code in (1, 2), case
                 assert len(err.splitlines()) == 1 and "Traceback" not in err, case
+                assert MUTATION_MESSAGES.get((name, label), "") in err, case
                 assert {p: p.stat().st_mtime_ns for p in run.iterdir()} == files, case
+
+    # half the flips land in the first KiB: the text files and the checkpoint header
+    @given(name=st.sampled_from(sorted(DATA_FILE_READERS)),
+           position=st.integers(0, 1023) | st.integers(0, 2 ** 20), xor=st.integers(1, 255))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_a_byte_flipped_anywhere_exits_0_or_with_one_line(self, trained, name, position, xor):
+        # a flip may leave a valid file (a token spelt differently, another
+        # float), so success is allowed; a failure keeps the error contract
+        blob = bytearray(trained[name])
+        blob[position % len(blob)] ^= xor
+        for command in DATA_FILE_READERS[name]:
+            with tempfile.TemporaryDirectory() as tmp:
+                run = pathlib.Path(tmp)
+                path = write_config(run, {"max_epochs": 1})
+                for other, data in trained.items():
+                    (run / other).write_bytes(bytes(blob) if other == name else data)
+                files = {p: p.stat().st_mtime_ns for p in run.iterdir()}
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([command, "--config", path])
+                case = f"{name} byte {position % len(blob)} ^ {xor}, {command}: exit {code}, " \
+                       f"stderr {err.getvalue()!r}"
+                assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), case
+                if code:
+                    assert len(err.getvalue().splitlines()) == 1, case
+                    assert {p: p.stat().st_mtime_ns for p in run.iterdir()} == files, case
 
 
 class TestBlasThreads:
@@ -713,6 +746,19 @@ class TestAblate:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "ablate:" not in out
         assert sorted(os.listdir(tmp_path)) == before
+
+    def test_sweep_entry_keeps_its_rng_seed(self, tmp_path):
+        # the run's seed sets the baseline's rng_seed; a sweep entry may override it
+        path = write_config(tmp_path, {"max_epochs": 1})
+        assert cli.main(["prepare", "--config", path]) == 0
+        sweep_path = str(tmp_path / "sweep.json")
+        with open(sweep_path, "w") as fh:
+            json.dump([{"name": "reseeded", "rng_seed": 99}], fh)
+        assert cli.main(["ablate", "--config", path, "--sweep", sweep_path,
+                         "--out", str(tmp_path / "ablation.txt")]) == 0
+        seeds = {name: load_checkpoint(str(tmp_path / f"model.ckpt.{name}"))[0].rng_seed
+                 for name in ("baseline", "reseeded")}
+        assert seeds == {"baseline": 11, "reseeded": 99}
 
     def test_sweep_entry_equal_to_baseline_is_the_baseline(self, tmp_path):
         path = write_config(tmp_path, {"max_epochs": 1})

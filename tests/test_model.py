@@ -466,8 +466,8 @@ def assert_within(mine, theirs, rel=1e-12):
 
 
 class TestFusedKernels:
-    """gru_sequence, episodic_gate, take_rows, attend, dense and
-    cross_entropy are one tape node each, with hand-written backwards.
+    """gru_sequence, episodic_gate, take_rows, attend, weighted_bag, dense
+    and cross_entropy are one tape node each, with hand-written backwards.
     Their values and every gradient must agree within 1e-12 relative with
     op_graph's step loops and elementwise graphs, alone and in a whole
     training step of each model variant."""
@@ -541,8 +541,8 @@ class TestFusedKernels:
         dict(encoder_kind="attendgru_only"),
     ])
     def test_training_step_matches_op_graph(self, overrides, monkeypatch):
-        # 16 rows drawn from 6 samples, so the encoder state is expanded to
-        # the rows with repeats and its gradients are summed back
+        # 16 rows drawn from 6 samples, so the rows read the encoder state
+        # through a row map with repeats and its gradients are summed back
         cfg = toy_config(tdatlen=12, n=4, y=4, batch=16, **overrides)
         rng = np.random.default_rng(21)
         samples = [toy_sample(cfg, rng) for _ in range(6)]
@@ -561,7 +561,8 @@ class TestFusedKernels:
 
         fused = step(T.cross_entropy)
         calls = {}
-        for name in ("gru_sequence", "episodic_gate", "take_rows", "attend", "dense"):
+        for name in ("gru_sequence", "episodic_gate", "take_rows", "attend", "weighted_bag",
+                     "dense"):
             def counted(*args, _op=getattr(op_graph, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _op(*args, **kwargs)
@@ -570,8 +571,10 @@ class TestFusedKernels:
         smn = cfg.encoder_kind == "smn"
         assert calls["gru_sequence"] == 2 + smn * (cfg.h + (cfg.statement_encoding == "eos"))
         assert calls.get("episodic_gate", 0) == smn * cfg.h
-        assert calls["take_rows"] == 1 + smn * (1 + (cfg.gate_query == "constant_q"))
+        # only the summary_vector memory reads its statements at the rows
+        assert calls.get("take_rows", 0) == smn * (cfg.gate_query == "summary_vector")
         assert calls["attend"] == 1 + smn
+        assert calls.get("weighted_bag", 0) == smn * (cfg.statement_encoding == "positional")
         assert calls["dense"] == 2
         assert len(fused) == len(graph)
         for mine, theirs in zip(fused, graph):
@@ -593,14 +596,38 @@ def interior_nodes(loss: T.Tensor) -> list[T.Tensor]:
     return nodes
 
 
-class TestTape:
-    """Tape nodes per training step, pinned so that a change to the count
-    shows in review. The count depends on the hops (h=2 here, as in the
-    criterion-6 and benchmark `train` configurations), not on the widths
-    and lengths."""
+def tape_bytes(loss: T.Tensor) -> int:
+    """Bytes of the distinct arrays the tape keeps alive: each interior
+    node's data and the arrays its backward closure holds, a view counted
+    as the array it views and each array once; parameter data is left
+    out, as it lives without the tape."""
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
 
-    NODES = {"smn_positional_constant_q": 27, "smn_eos_summary_vector": 29,
-             "attendgru_only": 14}
+    nodes = interior_nodes(loss)
+    params = {id(owner(p.data)) for node in nodes for p in node._parents
+              if not p._parents and p.requires_grad}
+    held = {}
+    for node in nodes:
+        cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+        for value in [node.data] + cells:
+            if isinstance(value, np.ndarray) and id(owner(value)) not in params:
+                held[id(owner(value))] = owner(value)
+    return sum(a.nbytes for a in held.values())
+
+
+class TestTape:
+    """Tape nodes and tape bytes per training step, pinned so that a change
+    to either shows in review. The node count depends on the hops (h=2
+    here, as in the criterion-6 and benchmark `train` configurations), not
+    on the widths and lengths; the bytes depend on all the shapes."""
+
+    NODES = {"smn_positional_constant_q": 23, "smn_eos_summary_vector": 28,
+             "attendgru_only": 13}
+    BYTES = {"smn_positional_constant_q": 698_504, "smn_eos_summary_vector": 1_011_528,
+             "attendgru_only": 537_736}
     TRAIN_SHAPES = dict(tdatlen=96, comlen=13, e_dim=16, l_dim=16, h=2, n=10, y=10,
                         batch=8, code_vocab_size=200, summary_vocab_size=100,
                         projection_dim=32)
@@ -616,6 +643,7 @@ class TestTape:
         loss = T.mean_all(T.cross_entropy(dists, rng.integers(4, 100, size=8)))
         nodes = interior_nodes(loss)
         assert len(nodes) == self.NODES[name]
+        assert tape_bytes(loss) == self.BYTES[name]
         loss.backward()
         assert [node for node in nodes if node.grad is not None] == []
         assert [n for n, p in params.items() if p.grad is None] == []

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -162,22 +163,34 @@ class TestSoftmax:
 
 
 class TestAttend:
-    def run(self, attend_op, q, k, weights):
+    def run(self, attend_op, q, k, rows, weights):
         qt, kt = leaf(q), leaf(k)
-        out = attend_op(qt, kt)
+        out = attend_op(qt, kt, rows)
         T.sum_all(T.mul(out, T.constant(weights))).backward()
         return out.data, qt.grad, kt.grad
 
     def test_matches_reference_chain_bitwise(self):
-        # B > 1 stacks and more keys than queries (T > C), as in the model
+        # B > 1 stacks and more keys than queries (T > C), as in the model;
+        # a row map with distinct rows, and one that repeats rows, as a
+        # training batch's does
         rng = np.random.default_rng(17)
-        q, k = rng.uniform(-2, 2, (3, 4, 5)), rng.uniform(-2, 2, (3, 7, 5))
-        weights = rng.uniform(0.5, 1.5, (3, 4, 5))
-        fused = self.run(T.attend, q, k, weights)
-        chain = self.run(op_graph.attend, q, k, weights)
-        for mine, theirs in zip(fused, chain):
-            assert mine.shape == theirs.shape
-            assert mine.tobytes() == theirs.tobytes()
+        for rows in ([0, 1, 2], [2, 0, 2, 2, 1]):
+            q, k = rng.uniform(-2, 2, (len(rows), 4, 5)), rng.uniform(-2, 2, (3, 7, 5))
+            weights = rng.uniform(0.5, 1.5, (len(rows), 4, 5))
+            fused = self.run(T.attend, q, k, rows, weights)
+            chain = self.run(op_graph.attend, q, k, rows, weights)
+            for mine, theirs in zip(fused, chain):
+                assert mine.shape == theirs.shape
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_strided_queries_read_as_contiguous(self):
+        # a gru_sequence output is a strided view of its time-major states
+        rng = np.random.default_rng(6)
+        q, k = rng.uniform(-2, 2, (4, 5, 3)), rng.uniform(-2, 2, (2, 6, 3))
+        view = T.constant(np.ascontiguousarray(q.transpose(1, 2, 0)).transpose(2, 0, 1))
+        assert not view.data.flags.c_contiguous
+        assert (T.attend(view, T.constant(k), [1, 0, 1, 1]).data.tobytes()
+                == T.attend(T.constant(q), T.constant(k), [1, 0, 1, 1]).data.tobytes())
 
     @pytest.mark.parametrize("q, k", [
         (np.full((1, 1, 2), np.nan), np.ones((1, 3, 2))),
@@ -186,7 +199,7 @@ class TestAttend:
     def test_non_finite_score_rejected(self, q, k):
         # the overflow warning is silenced as the command line does
         with np.errstate(over="ignore"), pytest.raises(NumericInputError, match="attend"):
-            T.attend(T.constant(q), T.constant(k))
+            T.attend(T.constant(q), T.constant(k), [0])
 
     def test_leaves_its_inputs_and_incoming_gradient_untouched(self):
         # the softmax and the score gradient are formed in place, in buffers
@@ -195,13 +208,17 @@ class TestAttend:
         q, k = leaf(rng.uniform(-2, 2, (2, 3, 4))), leaf(rng.uniform(-2, 2, (2, 5, 4)))
         g = rng.uniform(-1, 1, (2, 3, 4))
         kept = [a.copy() for a in (q.data, k.data, g)]
-        T.attend(q, k)._backward(g)
+        T.attend(q, k, [1, 0])._backward(g)
         for now, before in zip((q.data, k.data, g), kept):
             assert now.tobytes() == before.tobytes()
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 1, 3\).*\(2, 4, 2\)"):
-            T.attend(T.constant(np.ones((2, 1, 3))), T.constant(np.ones((2, 4, 2))))
+            T.attend(T.constant(np.ones((2, 1, 3))), T.constant(np.ones((2, 4, 2))), [0, 1])
+
+    def test_row_map_needs_one_row_per_query(self):
+        with pytest.raises(DimensionError, match=r"rows \(3,\)"):
+            T.attend(T.constant(np.ones((2, 1, 3))), T.constant(np.ones((2, 4, 3))), [0, 1, 1])
 
 
 class TestConcat:
@@ -367,8 +384,9 @@ class TestCrossEntropy:
 
 
 class TestOneNodeLayers:
-    """dense, cross_entropy and the masked episodic_gate replace chains of
-    tape nodes; their values and every gradient are bitwise the chains'."""
+    """dense, cross_entropy, weighted_bag and the masked episodic_gate
+    replace chains of tape nodes; their values and every gradient are
+    bitwise the chains'."""
 
     @staticmethod
     def run(build, arrays, weights):
@@ -419,6 +437,29 @@ class TestOneNodeLayers:
                                                T.constant(valid.astype(np.float64))),
                          arrays, weights)
         assert masked == chain
+
+    def test_weighted_bag_is_bitwise_the_lookup_mul_sum_chain(self):
+        # a repeated id, an all-pad statement and statements cut short; slot
+        # weights of both signs, so the masked slots hold zeros of both signs
+        rng = np.random.default_rng(7)
+        ids = rng.integers(0, 6, (3, 4, 5))
+        ids[0, 1] = 2
+        mask = (np.arange(5) < np.array([[5, 5, 2, 0], [3, 1, 0, 0], [5, 4, 4, 1]])[..., None])
+        slot_weights = rng.uniform(-1, 1, (5, 4))
+        weights = rng.uniform(0.5, 1.5, (3, 4, 4))
+        table = rng.uniform(-1, 1, (6, 4))
+        results = [self.run(lambda t: bag(t, ids, slot_weights, mask), [table], weights)
+                   for bag in (T.weighted_bag, op_graph.weighted_bag)]
+        assert results[0] == results[1]
+        out = np.frombuffer(results[0][0]).reshape(3, 4, 4)
+        assert not out[0, 3].any() and not out[1, 2:].any()
+
+    def test_weighted_bag_checks_ids_and_shapes(self):
+        table = T.constant(np.ones((4, 3)))
+        with pytest.raises(VocabularyError, match="id 4 outside vocabulary of size 4"):
+            T.weighted_bag(table, [[1, 4]], np.ones((2, 3)), [[1, 1]])
+        with pytest.raises(DimensionError, match="weighted_bag"):
+            T.weighted_bag(table, [[1, 2]], np.ones((3, 3)), [[1, 1]])
 
     def test_cross_entropy_checks_shapes(self):
         with pytest.raises(DimensionError, match="want 2 ids"):
@@ -640,6 +681,27 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             fh.write(blob[:-8])
         with pytest.raises(DataError, match=f"parameter '{params.names()[-1]}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda head, rest: b"", "header: its format line is '', not 'stmtmem-checkpoint 1'"),
+        (lambda head, rest: head[:10], "header: its format line is 'stmtmem-ch', not"),
+        (lambda head, rest: head.split(b"\n")[0], "the header ends before its config line"),
+        (lambda head, rest: b"\n".join(head.split(b"\n")[:2]),
+         "the header ends before its manifest count"),
+        (lambda head, rest: head.replace(b"{", b"[", 1) + b"\ndata\n" + rest, "config line: "),
+        (lambda head, rest: head + b"\n", "manifest: no 'data' line follows it"),
+        (lambda head, rest: head + b"\ndata\n",
+         "the data section holds 0 bytes; parameter 'dec_gru.bh' at offset 0 needs 0..24"),
+        (lambda head, rest: head + b"\ndata\n" + rest[:-8], "holds 2792 bytes; parameter 'proj.w' at offset 2512 needs 2512..2800"),
+    ], ids=["empty", "cut_in_format_line", "format_line_only", "no_manifest_count",
+            "config_line", "no_data_line", "header_only", "short_data"])
+    def test_structure_errors_name_the_part(self, tmp_path, cut, message):
+        path, _ = self.saved_toy(tmp_path)
+        head, _, rest = open(path, "rb").read().partition(b"\ndata\n")
+        with open(path, "wb") as fh:
+            fh.write(cut(head, rest))
+        with pytest.raises(DataError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_kept_benchmark_members_load(self):
