@@ -171,14 +171,18 @@ def encode_statements_eos(stmt_ids: np.ndarray, stmt_lengths: np.ndarray,
                           embedding: Tensor, w: GRUWeights) -> Tensor:
     """F_t = final GRU state over the statement's words. The length mask
     gates the GRU, so a row's state is frozen past its true length and an
-    empty row never moves from zero."""
+    empty row never moves from zero. The GRU runs once per distinct
+    statement, keyed by its length and words, and each slot reads its
+    statement's state; the empty slots share one all-zero key."""
     b, n, y = stmt_ids.shape
     flat_lengths = stmt_lengths.reshape(b * n)
     # later steps change nothing; with no statement at all one keeps every row 0
     steps = max(int(flat_lengths.max(initial=0)), 1)
-    emb = embedding_lookup(embedding, stmt_ids.reshape(b * n, y)[:, :steps])   # [B*n, steps, e]
-    states = gru_sequence(emb, w, gate=constant(_length_mask(flat_lengths, steps)))
-    return reshape(slice_axis(states, 1, steps - 1), (b, n, states.shape[2]))
+    keys = np.column_stack([flat_lengths, stmt_ids.reshape(b * n, y)[:, :steps]])
+    distinct, slot_rows = np.unique(keys, axis=0, return_inverse=True)
+    emb = embedding_lookup(embedding, distinct[:, 1:])                        # [R, steps, e]
+    states = gru_sequence(emb, w, gate=constant(_length_mask(distinct[:, 0], steps)))
+    return embedding_lookup(slice_axis(states, 1, steps - 1), slot_rows.reshape(b, n))
 
 
 def memory_hops(f: Tensor, q: Tensor, valid: np.ndarray, hops: int,

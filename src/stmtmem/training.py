@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .corpus import BOS_ID, EOS_ID, EncodedSample
-from .errors import UsageError
+from .errors import NumericInputError, UsageError
 from .model import ModelInputs, batch_inputs, init_params, prefix_row, _forward_batch
 from .params import AdamState, ParameterSet, adam_step
 from .tensor import cross_entropy, mean_all, no_grad
@@ -122,17 +122,24 @@ def train(train_set: Sequence[EncodedSample], val_set: Sequence[EncodedSample],
     for epoch in range(max_epochs):
         order = shuffle_rng.permutation(len(train_pairs))
         loss_sum = 0.0
-        for start, stop in _batches(len(train_pairs), config.batch):
-            chunk = [train_pairs[i] for i in order[start:stop]]
-            inputs, targets = _pair_batch(chunk, config.comlen)
-            dists, _ = _forward_batch(inputs, params, config)
-            loss = mean_all(cross_entropy(dists, targets))
-            loss.backward()
-            if config.grad_clip is not None:
-                clip_gradients(params, config.grad_clip)
-            adam_step(params, adam, LEARNING_RATE)
-            loss_sum += loss.item() * len(chunk)
-        val_acc, val_loss = evaluate_next_token(val_pairs, params, config)
+        try:
+            for batch, (start, stop) in enumerate(_batches(len(train_pairs), config.batch)):
+                where = f"batch {batch}"
+                chunk = [train_pairs[i] for i in order[start:stop]]
+                inputs, targets = _pair_batch(chunk, config.comlen)
+                dists, _ = _forward_batch(inputs, params, config)
+                loss = mean_all(cross_entropy(dists, targets))
+                loss.backward()
+                if config.grad_clip is not None:
+                    clip_gradients(params, config.grad_clip)
+                adam_step(params, adam, LEARNING_RATE)
+                loss_sum += loss.item() * len(chunk)
+            where = "validation"
+            val_acc, val_loss = evaluate_next_token(val_pairs, params, config)
+        except NumericInputError as exc:
+            best = reports[select_best(reports)].epoch if reports else "none"
+            raise NumericInputError(f"training epoch {epoch}, {where}: {exc} "
+                                    f"(best epoch so far: {best})") from None
         reports.append(EpochReport(epoch, loss_sum / len(train_pairs), val_acc, val_loss))
         if select_best(reports) == epoch:
             best_params = params.copy()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import VerificationError
-from .model import ModelInputs, _forward_batch, init_params
+from .model import ModelInputs, _forward_batch, init_params, parameter_count
 from . import tensor as T
 
 STEP = 1e-5
@@ -189,6 +189,7 @@ def _toy_batch(config: ModelConfig, seed: int = 11) -> tuple[ModelInputs, np.nda
     for b in range(batch):
         for i in range(config.n):
             stmt[b, i, lengths[b, i]:] = 0
+    stmt[1, 0] = stmt[0, 0]       # one statement in both samples: the EOS GRU reads it once
     summary = np.zeros((batch, config.comlen), dtype=np.int64)
     summary[:, 0] = 1
     summary[:, 1] = rng.integers(4, config.summary_vocab_size, size=batch)
@@ -211,6 +212,14 @@ def model_variants(base: ModelConfig | None = None) -> list[tuple[str, ModelConf
                  gate_query="summary_vector")),
         ("attendgru_only", replace(base, encoder_kind="attendgru_only")),
     ]
+
+
+def model_check_work(base: ModelConfig) -> int:
+    """The work of `run_model_checks` in forward steps: two forwards per
+    parameter of each variant, each as many steps as its code GRU, decoder
+    GRU and memory hops run, plus its n * y statement words."""
+    steps = base.tdatlen + base.comlen + base.h * base.n + base.n * base.y
+    return sum(2 * parameter_count(config) * steps for _, config in model_variants(base))
 
 
 def run_model_checks(seed: int = 0, base: ModelConfig | None = None) -> list[CheckResult]:

@@ -3,12 +3,16 @@
 One test per criterion; each prints a PASS line once its assertions hold
 (run with `pytest tests/test_acceptance.py -v -s` to see them). The
 training-based criteria use seeded desk-scale corpora and finish in a few
-minutes of CPU total.
+minutes of CPU total; criterion 6's ten trainings run in two worker
+processes, which one more test checks train the same bits as the suite's
+own process.
 """
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +25,7 @@ from stmtmem.corpus import build_vocab, encode_sample, split_by_project
 from stmtmem.decoding import LoadedModel, greedy_decode, predict_corpus
 from stmtmem.metrics import bleu_corpus, meteor
 from stmtmem.model import positional_matrix
+from stmtmem.params import ParameterSet
 from stmtmem.stats import paired_t_test, student_t_two_tailed
 from stmtmem.synthetic import SyntheticSpec, generate_synthetic_corpus
 from stmtmem.training import evaluate_next_token, expand_pairs, train
@@ -186,10 +191,10 @@ def test_criterion_5_memorization(memorization_run):
 # sum does not train at these widths.
 
 SENSITIVITY_SEEDS = (1, 2, 3, 4, 5)
+SENSITIVITY_WORKERS = 2     # the ten trainings run in at most two processes
 
 
-@pytest.fixture(scope="module")
-def sensitivity_runs():
+def sensitivity_data():
     spec = SyntheticSpec(projects=12, samples_per_project=15,
                          statement_range=(5, 9), max_payloads=3)
     samples = generate_synthetic_corpus(spec, seed=2024)
@@ -200,14 +205,33 @@ def sensitivity_runs():
                        batch=100, code_vocab_size=len(code_vocab),
                        summary_vocab_size=len(sum_vocab), projection_dim=32,
                        grad_clip=5.0, gate_squash="sigmoid").validate()
+    return samples, train_set, val_set, test_set, code_vocab, sum_vocab, base
 
-    def train_one(kind, seed):
-        cfg = replace(base, encoder_kind=kind, rng_seed=seed,
-                      gate_squash="sigmoid" if kind == "smn" else "none")
-        enc_tr = [encode_sample(s, code_vocab, sum_vocab, cfg) for s in train_set]
-        enc_va = [encode_sample(s, code_vocab, sum_vocab, cfg) for s in val_set]
-        best, _ = train(enc_tr, enc_va, cfg, max_epochs=80)
-        return LoadedModel(best, cfg)
+
+def train_best_arrays(cfg, train_set, val_set, code_vocab, sum_vocab, max_epochs):
+    """The best parameters' arrays by name; runs in a worker process, which
+    sends arrays rather than tape tensors back."""
+    enc_tr = [encode_sample(s, code_vocab, sum_vocab, cfg) for s in train_set]
+    enc_va = [encode_sample(s, code_vocab, sum_vocab, cfg) for s in val_set]
+    best, _ = train(enc_tr, enc_va, cfg, max_epochs=max_epochs)
+    return {name: p.data for name, p in best.items()}
+
+
+def as_parameter_set(cfg, arrays):
+    params = ParameterSet(cfg.rng_seed)
+    for name, data in arrays.items():
+        params.add(name, data)
+    return params
+
+
+def worker_pool():
+    # forked workers inherit the suite's one-thread BLAS setting
+    return ProcessPoolExecutor(SENSITIVITY_WORKERS, mp_context=multiprocessing.get_context("fork"))
+
+
+@pytest.fixture(scope="module")
+def sensitivity_runs():
+    samples, train_set, val_set, test_set, code_vocab, sum_vocab, base = sensitivity_data()
 
     def held_out_scores(models):
         scores = []
@@ -217,16 +241,33 @@ def sensitivity_runs():
             scores.append(meteor(record.tokens, s.summary_tokens))
         return scores
 
-    smn_models, smn_means, att_means = [], [], []
-    for seed in SENSITIVITY_SEEDS:
-        smn = train_one("smn", seed)
-        att = train_one("attendgru_only", seed)
-        smn_models.append(smn)
-        smn_means.append(float(np.mean(held_out_scores([smn]))))
-        att_means.append(float(np.mean(held_out_scores([att]))))
+    configs = [replace(base, encoder_kind=kind, rng_seed=seed,
+                       gate_squash="sigmoid" if kind == "smn" else "none")
+               for seed in SENSITIVITY_SEEDS for kind in ("smn", "attendgru_only")]
+    with worker_pool() as pool:
+        trained = [pool.submit(train_best_arrays, cfg, train_set, val_set, code_vocab,
+                               sum_vocab, 80) for cfg in configs]
+        models = [LoadedModel(as_parameter_set(cfg, job.result()), cfg)
+                  for cfg, job in zip(configs, trained)]
+    smn_models, att_models = models[0::2], models[1::2]
+    smn_means = [float(np.mean(held_out_scores([m]))) for m in smn_models]
+    att_means = [float(np.mean(held_out_scores([m]))) for m in att_models]
     return dict(smn_models=smn_models, smn_means=smn_means, att_means=att_means,
                 held_out_scores=held_out_scores, samples=samples,
                 code_vocab=code_vocab, sum_vocab=sum_vocab, test_set=test_set)
+
+
+def test_worker_training_is_byte_equal_to_in_process():
+    # a worker that saw another BLAS thread count would train other bits
+    _, train_set, val_set, _, code_vocab, sum_vocab, base = sensitivity_data()
+    cfg = replace(base, rng_seed=1)
+    args = (cfg, train_set[:40], val_set[:10], code_vocab, sum_vocab, 3)
+    with worker_pool() as pool:
+        in_worker = pool.submit(train_best_arrays, *args).result()
+    in_process = train_best_arrays(*args)
+    assert list(in_worker) == list(in_process)
+    for name, data in in_process.items():
+        assert in_worker[name].tobytes() == data.tobytes(), name
 
 
 def test_criterion_6_statement_sensitivity(sensitivity_runs):

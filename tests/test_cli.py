@@ -18,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stmtmem.model
+import stmtmem.training
 from stmtmem import cli
 from stmtmem import tensor as T
 from stmtmem.cli import RunConfig
 from stmtmem.corpus import read_dataset
 from stmtmem.decoding import read_predictions, write_predictions, PredictionRecord
 from stmtmem.errors import ConfigError
+from stmtmem.model import init_params
 from stmtmem.params import load_checkpoint, save_checkpoint
 
 
@@ -466,6 +468,25 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1 and "non-finite" in err
         assert "Traceback" not in err
 
+    def test_non_finite_training_names_where_it_stopped(self, tmp_path, capsys, monkeypatch):
+        # an inf in one initial parameter reaches the first batch's softmax;
+        # the default unbounded gate is kept
+        def poisoned(config):
+            params = init_params(config)
+            params["out.b"].data[0] = np.inf
+            return params
+
+        monkeypatch.setattr(stmtmem.training, "init_params", poisoned)
+        path = write_config(tmp_path)
+        assert cli.main(["prepare", "--config", path]) == 0
+        capsys.readouterr()
+        files = {p: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+        assert cli.main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == ("data error: training epoch 0, batch 0: softmax: input contains "
+                       "non-finite values (best epoch so far: none)\n")
+        assert {p: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == files
+
     def test_overflowing_parameters_exit_2_without_numpy_warnings(self, pipeline):
         # weights this large overflow in the first products; numpy's
         # RuntimeWarnings must not reach stderr ahead of the one line
@@ -665,11 +686,11 @@ class TestSeedOverride:
 
 
 class TestGradcheck:
-    def gradcheck_config(self, tmp_path):
+    def gradcheck_config(self, tmp_path, **model):
         return write_config(tmp_path, {"model": {
             "tdatlen": 8, "comlen": 4, "e_dim": 3, "l_dim": 3, "h": 2,
             "n": 2, "y": 3, "code_vocab_size": 7, "summary_vocab_size": 5,
-            "projection_dim": 4, "grad_clip": None,
+            "projection_dim": 4, "grad_clip": None, **model,
         }})
 
     def test_passes_on_toy_config(self, tmp_path, capsys):
@@ -684,6 +705,25 @@ class TestGradcheck:
                                                  "summary_vocab_size": 10908,
                                                  "e_dim": 100, "l_dim": 100}})
         assert cli.main(["gradcheck", "--config", path]) == 1
+
+    @pytest.mark.parametrize("model, estimate", [
+        ({"h": 100_000}, "415,237,368"),
+        ({"tdatlen": 96, "comlen": 13, "e_dim": 16, "l_dim": 16, "n": 10, "y": 10,
+          "code_vocab_size": 200, "summary_vocab_size": 100, "projection_dim": 32},
+         "72,340,184"),
+    ], ids=["many_hops", "criterion_6_model"])
+    def test_refuses_work_over_the_bound_before_any_forward(self, tmp_path, monkeypatch,
+                                                            capsys, model, estimate):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a refused gradcheck ran a check")
+
+        monkeypatch.setattr(cli.verify, "run_op_checks", no_forward)
+        monkeypatch.setattr(cli.verify, "run_model_checks", no_forward)
+        path = self.gradcheck_config(tmp_path, **model)
+        assert cli.main(["gradcheck", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: gradcheck requires a toy model: its model checks would run an "
+                       f"estimated {estimate} forward steps (limit 2,000,000)\n")
 
     def test_corrupted_gradient_fails_with_exit_3(self, tmp_path, monkeypatch, capsys):
         # Negative control: a memory gate (tanh features) whose backward is

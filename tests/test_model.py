@@ -137,6 +137,50 @@ class TestEosEncoding:
         h2 = scalar_gru_step(-0.4, h1, *args)
         np.testing.assert_allclose(f.data[0, 0, 0], h2, atol=1e-12)
 
+    def test_repeated_statements_match_per_slot_encoding(self, monkeypatch):
+        # statement [5, 2, 7] fills two slots of sample 0 and one of sample
+        # 1; [5, 2] shares its first words but not its length; 3 slots are empty
+        a, b, c, a_prefix = [5, 2, 7], [3, 8], [1, 4, 6, 2], [5, 2]
+        rows = [[a, b, a, [], a_prefix], [a, c, [], b, []]]
+        ids = np.zeros((2, 5, 6), dtype=np.int64)
+        lengths = np.zeros((2, 5), dtype=np.int64)
+        for k, sample in enumerate(rows):
+            for i, words in enumerate(sample):
+                ids[k, i, :len(words)], lengths[k, i] = words, len(words)
+        rng = np.random.default_rng(13)
+        table_data = rng.uniform(-1, 1, (9, 3))
+        weight_data = [rng.uniform(-0.8, 0.8, s) for s in [(3, 4), (4, 4), (4,)] * 3]
+        projection = T.constant(rng.uniform(0.5, 1.5, (2, 5, 4)))
+
+        def per_slot(table, w):
+            steps = int(lengths.max())
+            emb = T.embedding_lookup(table, ids.reshape(10, 6)[:, :steps])
+            states = T.gru_sequence(emb, w, gate=T.constant(_length_mask(lengths.reshape(10),
+                                                                         steps)))
+            return T.reshape(T.slice_axis(states, 1, steps - 1), (2, 5, 4))
+
+        gru_rows = []
+
+        def counted(x, *args, **kwargs):
+            gru_rows.append(x.shape[0])
+            return T.gru_sequence(x, *args, **kwargs)
+
+        monkeypatch.setattr(stmtmem.model, "gru_sequence", counted)
+        results = []
+        for encode in (lambda table, w: encode_statements_eos(ids, lengths, table, w), per_slot):
+            table = T.Tensor(table_data, requires_grad=True)
+            w = T.GRUWeights(*(T.Tensor(p, requires_grad=True) for p in weight_data))
+            f = encode(table, w)
+            T.sum_all(T.mul(f, projection)).backward()
+            results.append([f.data, table.grad] + [p.grad for p in w])
+        mine, theirs = results
+        assert gru_rows == [5]                      # a, b, c, [5, 2] and the empty slot
+        assert_within(mine[0], theirs[0])
+        empty = mine[0][lengths == 0]
+        assert not empty.any() and not np.signbit(empty).any()
+        for got, want in zip(mine[1:], theirs[1:]):
+            assert_within(got, want)
+
 
 def gate_value(f, q, m, squash=False):
     """The episodic gate of one statement vector, as a float."""
@@ -626,7 +670,7 @@ class TestTape:
 
     NODES = {"smn_positional_constant_q": 23, "smn_eos_summary_vector": 28,
              "attendgru_only": 13}
-    BYTES = {"smn_positional_constant_q": 698_504, "smn_eos_summary_vector": 1_011_528,
+    BYTES = {"smn_positional_constant_q": 698_504, "smn_eos_summary_vector": 920_600,
              "attendgru_only": 537_736}
     TRAIN_SHAPES = dict(tdatlen=96, comlen=13, e_dim=16, l_dim=16, h=2, n=10, y=10,
                         batch=8, code_vocab_size=200, summary_vocab_size=100,

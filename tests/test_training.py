@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import stmtmem.model
+import stmtmem.training
 from stmtmem.corpus import Sample, build_vocab, encode_sample
-from stmtmem.errors import UsageError
+from stmtmem.errors import NumericInputError, UsageError
 from stmtmem.model import init_params
 from stmtmem.params import AdamState, adam_step
 from stmtmem.tensor import cross_entropy, mean_all
@@ -163,6 +164,33 @@ class TestTrainLoop:
             train([], enc, cfg, max_epochs=1)
         with pytest.raises(UsageError):
             train(enc, [], cfg, max_epochs=1)
+
+    @pytest.mark.parametrize("poison_after, where", [
+        (0, "epoch 0, batch 0"),        # an inf in one initial parameter
+        (12, "epoch 1, validation"),    # after the last of epoch 1's 6 steps
+    ])
+    def test_non_finite_value_names_epoch_batch_and_best_epoch(self, poison_after, where,
+                                                               monkeypatch):
+        cfg = toy_config(code_vocab_size=30, summary_vocab_size=30, batch=2)
+        enc, _, _ = encoded_corpus(cfg)       # 12 pairs: 6 steps per epoch
+
+        def poison(params, steps):
+            if steps == poison_after:
+                params["out.b"].data[0] = np.inf
+            return params
+
+        def step_then_poison(params, adam, lr):
+            adam_step(params, adam, lr)
+            poison(params, adam.t)
+
+        monkeypatch.setattr(stmtmem.training, "init_params",
+                            lambda config: poison(init_params(config), 0))
+        monkeypatch.setattr(stmtmem.training, "adam_step", step_then_poison)
+        with pytest.raises(NumericInputError) as raised:
+            train(enc, enc, cfg, max_epochs=10)
+        best = "none" if poison_after == 0 else "0"
+        assert str(raised.value) == (f"training {where}: softmax: input contains non-finite "
+                                     f"values (best epoch so far: {best})")
 
     def test_loss_decreases_over_first_adam_steps(self):
         # Sanity of the full gradient path: 5 steps on one fixed batch
