@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -357,8 +358,9 @@ def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str |
     scored_a = _score(refs, preds_a, name_a)
     scored_b = _score(refs, preds_b, name_b)
     met_a, met_b = scored_a.meteor_by_id(), scored_b.meteor_by_id()
-    overall_t = paired_t_test([met_a[sid] for sid in sorted(refs)],
-                              [met_b[sid] for sid in sorted(refs)])
+    ids = sorted(refs)     # a t-test needs 2 pairs; below that t and p are null
+    overall_t = paired_t_test([met_a[sid] for sid in ids],
+                              [met_b[sid] for sid in ids]) if len(ids) >= 2 else None
     partition = difference_set(preds_a, preds_b, refs)
     data = {
         "system_a": name_a,
@@ -366,7 +368,8 @@ def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str |
         "overall": {
             "a": {"meteor": scored_a.mean_meteor, "bleu": scored_a.corpus_bleu},
             "b": {"meteor": scored_b.mean_meteor, "bleu": scored_b.corpus_bleu},
-            "ttest": {"t": overall_t.t, "p": overall_t.p, "degenerate": overall_t.degenerate},
+            "ttest": ({"t": overall_t.t, "p": overall_t.p, "degenerate": overall_t.degenerate}
+                      if overall_t else {"t": None, "p": None, "degenerate": None}),
         },
         "difference_set": {
             "pct": partition.difference_pct,
@@ -390,10 +393,11 @@ def _load_sweep(path: str | None) -> list[dict]:
     sweep = _read_json(path, "sweep")
     if not isinstance(sweep, list) or not all(isinstance(e, dict) and "name" in e for e in sweep):
         raise ConfigError(f"sweep {path} must be a JSON list of objects with a 'name' key")
-    for entry in sweep:
-        if not isinstance(entry["name"], str) or "\0" in entry["name"]:
+    for entry in sweep:   # a name ends a checkpoint's file name
+        name = entry["name"]
+        if not isinstance(name, str) or any(c in name for c in ("\0", "/", os.sep)):
             raise ConfigError(f"sweep {path}: each name must be a string without a NUL "
-                              f"character, got {entry['name']!r}")
+                              f"character or a path separator, got {name!r}")
     return sweep
 
 
@@ -458,7 +462,7 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
 
     keys = sorted(per_sample[baseline_index])
     for i, (row, scores) in enumerate(zip(rows, per_sample)):
-        tt = None if i == baseline_index else paired_t_test(
+        tt = None if i == baseline_index or len(keys) < 2 else paired_t_test(
             [scores[k] for k in keys], [per_sample[baseline_index][k] for k in keys])
         row["t"], row["p"] = (tt.t, tt.p) if tt else (None, None)
     data = {"baseline": rows[baseline_index]["name"], "rows": rows}

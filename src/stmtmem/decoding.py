@@ -90,7 +90,7 @@ def ensemble_distribution(dists) -> np.ndarray:
         if d.shape != (length,):
             raise DimensionError(f"distribution lengths differ: {d.shape} vs ({length},)")
     for d in dists:
-        if abs(float(d.sum()) - 1.0) > 1e-9:
+        if not abs(float(d.sum()) - 1.0) <= 1e-9:       # NaN sums fail too
             raise UsageError(f"input is not a probability vector (sum {float(d.sum())})")
     ordered = sorted(dists, key=lambda d: d.tobytes())
     out = ordered[0].copy()

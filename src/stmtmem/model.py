@@ -47,7 +47,6 @@ from .tensor import (
     reshape,
     slice_axis,
     softmax,
-    take_rows,
     weighted_bag,
 )
 
@@ -276,7 +275,7 @@ def head(state: EncoderState, summary_ids: np.ndarray, params: ParameterSet,
         mem, gate_values = state.mem, state.gates
         if config.gate_query == "summary_vector":
             q = slice_axis(h_dec, 1, config.comlen - 1)                     # decoder final state
-            mem, gate_values = memory_hops(take_rows(state.f, rows), q, state.valid[rows],
+            mem, gate_values = memory_hops(embedding_lookup(state.f, rows), q, state.valid[rows],
                                            config.h, gru_weights(params, "episodic_gru"),
                                            config.gate_squash)
             rows = np.arange(b)

@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Deliberately small: only the kernels the summarizer needs, most of them
-one tape node per layer. All values are row-major numpy float64 arrays.
-Binary elementwise ops require identical shapes; the only shape changes
-are explicit ops (reshape, concat, slices, ...). Repeated backward() calls
-accumulate into existing leaf gradient buffers until they are cleared; an
-interior node's gradient is released as soon as its backward has used it.
+Deliberately small: only the kernels that the model and its training loop
+call (gru_cell aside, see there), most of them one tape node per layer.
+All values are row-major numpy float64 arrays; the only shape changes are
+explicit (reshape, concat, slice_axis, embedding_lookup's row gather).
+Repeated backward() calls accumulate into existing leaf gradient buffers
+until they are cleared; an interior node's gradient is released as soon
+as its backward has used it.
 
 dense is the one product against a weight matrix: x [..., r, k] @ w [k, c]
 + b [c]. Products of two stacks occur only inside the fused kernels
@@ -122,23 +123,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _make(a.data * b.data, (a, b), backward)
-
-
 def _sigmoid_of_negated(y: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) in place, given y = -x: allocating temporaries costs more
     # than the arithmetic at these shapes. Below x = -709 the exp overflows
@@ -212,9 +196,10 @@ def attend(q: Tensor, k: Tensor, rows) -> Tensor:
     """Dot-product attention of the queries q [B, C, l], read contiguous,
     over keys k [K, T, l] that are also the values, row b reading k[rows[b]]:
     softmax(q kᵀ) k, [B, C, l], as one tape node, bitwise the chain
-    take_rows, matmul, softmax, matmul. The row keys are gathered again in
-    the backward, not kept, and their gradient is added to k's rows in
-    take_rows' order. The softmax and the score gradient are formed in the
+    embedding_lookup, matmul, softmax, matmul. The row keys are gathered
+    again in the backward, not kept; a row loop adds their gradient to k's
+    rows in np.add.at's order, 2.4-2.8x faster than np.add.at at 100 rows
+    of [96, 16]. The softmax and the score gradient are formed in the
     buffers of q kᵀ and g kᵀ, and the key's two gradient terms, yᵀg and
     (qᵀ gs)ᵀ, are summed in one buffer."""
     qd, kd, index = np.ascontiguousarray(q.data), k.data, np.asarray(rows, dtype=np.int64)
@@ -235,7 +220,10 @@ def attend(q: Tensor, k: Tensor, rows) -> Tensor:
         if k.requires_grad:
             gk = y.swapaxes(-1, -2) @ g
             gk += (qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-            _add_rows(k, index, gk)
+            if k.grad is None:
+                k.grad = np.zeros(kd.shape)
+            for source, row in enumerate(index.tolist()):
+                k.grad[row] += gk[source]
 
     return _make(y @ keys, (q, k), backward)
 
@@ -274,9 +262,10 @@ def _check_ids(ids, size: int) -> np.ndarray:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a [V, E] table; gradients scatter-add back into it."""
-    if table.ndim != 2:
-        raise DimensionError(f"embedding_lookup: table must be 2-d, got {table.shape}")
+    """Gather rows of a [V, ...] table along axis 0, repeats allowed:
+    [*ids.shape, ...]. Gradients scatter-add back into the rows."""
+    if table.ndim < 2:
+        raise DimensionError(f"embedding_lookup: table must be 2-d or more, got {table.shape}")
     ids_arr = _check_ids(ids, table.shape[0])
 
     def backward(g):
@@ -319,14 +308,6 @@ def _scatter_add(a: Tensor, rows: np.ndarray, g: np.ndarray) -> None:
     width = g.size // max(rows.size, 1)
     flat_index = rows.reshape(-1, 1) * width + np.arange(width)
     np.add.at(a.grad.reshape(-1), flat_index.reshape(-1), g.reshape(-1))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g, a.shape))
-
-    return _make(np.asarray(a.data.sum()), (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -396,25 +377,6 @@ class GRUWeights(NamedTuple):
     wh: Tensor
     uh: Tensor
     bh: Tensor
-
-
-def take_rows(a: Tensor, rows) -> Tensor:
-    """Rows `rows` of `a` along axis 0, in order, repeats allowed. The backward
-    adds gradients back as np.add.at would, 10x faster for 100 [96, 16] rows."""
-    index = np.asarray(rows, dtype=np.int64)
-
-    def backward(g):
-        if a.requires_grad:
-            _add_rows(a, index, g)
-
-    return _make(a.data[index], (a,), backward)
-
-
-def _add_rows(a: Tensor, rows: np.ndarray, g: np.ndarray) -> None:
-    if a.grad is None:
-        a.grad = np.zeros(a.shape)
-    for source, row in enumerate(rows.tolist()):
-        a.grad[row] += g[source]
 
 
 def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
@@ -536,7 +498,8 @@ def gru_sequence(x: Tensor, w: GRUWeights, gate: Tensor | None = None,
 
 
 def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
-    """One GRU step on x [B, e] from state h [B, l]: gru_sequence for T = 1."""
+    """One GRU step on x [B, e] from state h [B, l]: gru_sequence for T = 1.
+    The model does not call it; it stays as the benchmark tracer's hook."""
     return reshape(gru_sequence(reshape(x, (x.shape[0], 1, -1)), w, h0=h), h.shape)
 
 

@@ -1,23 +1,30 @@
 """Op-graph references for the fused kernels.
 
-`gru_sequence`, `episodic_gate`, `take_rows`, `attend`, `weighted_bag`,
-`dense` and `cross_entropy` in `stmtmem.tensor` are one tape node each,
+`gru_sequence`, `episodic_gate`, `attend`, `weighted_bag`, `dense` and
+`cross_entropy` in `stmtmem.tensor` are one tape node each,
 with hand-written backwards. The step loops and graphs of elementwise tape
 ops below compute the same functions one op per node, so their values and
 gradients must agree with the kernels' up to the order of float sums (for
 `attend`, `weighted_bag`, `dense`, `cross_entropy` and the gate's mask,
 bitwise). The ops those graphs need, and the model does not, live here
-rather than in the package, as do the earlier forms of two kernels: the
-two-branch sigmoid and the 2-d np.add.at scatters.
+rather than in the package, as do the earlier forms of two kernels (the
+two-branch sigmoid and the row-wise np.add.at scatters) and the `mul` and
+`sum_all` that the tests project outputs with.
 """
 
 import numpy as np
 
 from stmtmem import tensor as T
+from stmtmem.errors import DimensionError
+
+
+def _check_same_shape(a, b, op):
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a, b):
-    T._check_same_shape(a, b, "add")
+    _check_same_shape(a, b, "add")
 
     def backward(g):
         if a.requires_grad:
@@ -26,6 +33,26 @@ def add(a, b):
             b._accumulate(g)
 
     return T._make(a.data + b.data, (a, b), backward)
+
+
+def mul(a, b):
+    _check_same_shape(a, b, "mul")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return T._make(a.data * b.data, (a, b), backward)
+
+
+def sum_all(a):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.broadcast_to(g, a.shape))
+
+    return T._make(np.asarray(a.data.sum()), (a,), backward)
 
 
 def neg(a):
@@ -105,7 +132,7 @@ def weighted_bag(table, ids, weights, mask):
     """The chain embedding_lookup (2-d np.add.at), mul by the masked slot
     weights, sum over the slots."""
     masked = weights * np.asarray(mask, dtype=np.float64)[..., None]
-    return sum_axis(T.mul(embedding_lookup(table, ids), T.constant(masked)), -2)
+    return sum_axis(mul(embedding_lookup(table, ids), T.constant(masked)), -2)
 
 
 def add_const(a, c):
@@ -117,7 +144,7 @@ def add_const(a, c):
 
 
 def sub(a, b):
-    T._check_same_shape(a, b, "sub")
+    _check_same_shape(a, b, "sub")
 
     def backward(g):
         if a.requires_grad:
@@ -154,14 +181,15 @@ def sigmoid_two_branch(x):
 
 
 def embedding_lookup(table, ids):
-    """Rows of a [V, E] table whose backward scatters with a 2-d np.add.at."""
+    """Rows of a [V, ...] table whose backward scatters with an np.add.at
+    over whole rows."""
     ids = np.asarray(ids, dtype=np.int64)
 
     def backward(g):
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+            np.add.at(table.grad, ids.reshape(-1), g.reshape((-1,) + table.shape[1:]))
 
     return T._make(table.data[ids], (table,), backward)
 
@@ -203,8 +231,8 @@ def gru_cell(x, h, w):
 
     z = sigmoid(affine(x, h, w.wz, w.uz, w.bz))
     r = sigmoid(affine(x, h, w.wr, w.ur, w.br))
-    hbar = tanh(affine(x, T.mul(r, h), w.wh, w.uh, w.bh))
-    return add(T.mul(z, h), T.mul(add_const(neg(z), 1.0), hbar))
+    hbar = tanh(affine(x, mul(r, h), w.wh, w.uh, w.bh))
+    return add(mul(z, h), mul(add_const(neg(z), 1.0), hbar))
 
 
 def gru_sequence(x, w, gate=None, h0=None):
@@ -219,7 +247,7 @@ def gru_sequence(x, w, gate=None, h0=None):
             h = c
         else:
             a = broadcast_to(T.reshape(T.slice_axis(gate, 1, t), (b, 1)), c.shape)
-            h = add(T.mul(a, c), T.mul(add_const(neg(a), 1.0), h))
+            h = add(mul(a, c), mul(add_const(neg(a), 1.0), h))
         states.append(h)
     return T.concat([T.reshape(s, (b, 1, s.shape[1])) for s in states], 1)
 
@@ -230,17 +258,9 @@ def episodic_gate(f, q, m, valid, squash=False):
     its own; returns [B, n]."""
     b, n, d = f.shape
     qb, mb = (broadcast_to(T.reshape(v, (b, 1, d)), (b, n, d)) for v in (q, m))
-    feats = T.concat([T.mul(f, qb), T.mul(f, mb), abs_(sub(f, qb)), abs_(sub(f, mb))], 2)
+    feats = T.concat([mul(f, qb), mul(f, mb), abs_(sub(f, qb)), abs_(sub(f, mb))], 2)
     g = sum_axis(tanh(feats), 2)
-    return T.mul(sigmoid(g) if squash else g, T.constant(np.asarray(valid, dtype=np.float64)))
-
-
-def take_rows(a, rows):
-    """Rows of `a` as a one-hot matrix product, so its gradient is a
-    matrix product too rather than a scatter."""
-    one_hot = np.eye(a.shape[0])[np.asarray(rows)]
-    flat = T.reshape(a, (a.shape[0], a.size // a.shape[0]))
-    return T.reshape(matmul(T.constant(one_hot), flat), (len(rows),) + a.shape[1:])
+    return mul(sigmoid(g) if squash else g, T.constant(np.asarray(valid, dtype=np.float64)))
 
 
 def matmul_stacked(a, b):
@@ -267,9 +287,7 @@ def transpose_last2(a):
 
 def attend(q, k, rows):
     """softmax(q kᵀ) k over the keys of each row's sample, as the chain of
-    a row gather (the flattened keys' rows, scattered back with a 2-d
-    np.add.at in take_rows' order) and four tape nodes."""
-    samples, steps, width = k.shape
-    keys = T.reshape(embedding_lookup(T.reshape(k, (samples, steps * width)), rows),
-                     (len(rows), steps, width))
+    a row gather (scattered back with a row-wise np.add.at) and four tape
+    nodes."""
+    keys = embedding_lookup(k, rows)
     return matmul_stacked(T.softmax(matmul_stacked(q, transpose_last2(keys)), axis=-1), keys)

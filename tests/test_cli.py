@@ -65,6 +65,13 @@ def assert_renders(report: str, render, *args) -> None:
         assert render(data, *args).encode("utf-8") == fh.read()
 
 
+def keep_first_test_sample(root) -> None:
+    """Cut the prepared test split to its first sample."""
+    test = root / "test.tsv"
+    test.write_text(test.read_text(encoding="utf-8").splitlines(keepends=True)[0],
+                    encoding="utf-8")
+
+
 def write_config(tmp_path, overrides=None) -> str:
     raw = base_config_dict(str(tmp_path))
     if overrides:
@@ -346,6 +353,25 @@ class TestTrainPredictEvaluate:
         report = json.loads((root / "two.analysis.json").read_text())
         assert report["difference_set"]["pct"] > 0.0
         assert_renders(out, cli.format_analysis, len(refs))
+
+    def test_analyze_one_sample_has_no_t_test(self, tmp_path):
+        path = write_config(tmp_path)
+        assert cli.main(["prepare", "--config", path]) == 0
+        keep_first_test_sample(tmp_path)
+        (sample,) = read_dataset(str(tmp_path / "test.tsv"))
+        a, b = str(tmp_path / "a.preds"), str(tmp_path / "b.preds")
+        write_predictions(a, [PredictionRecord(sample.sample_id, list(sample.summary_tokens))])
+        write_predictions(b, [PredictionRecord(sample.sample_id, ["unrelated"])])
+        out = str(tmp_path / "one.analysis")
+        assert cli.main(["analyze", "--config", path, a, b, "--out", out]) == 0
+        report = json.loads((tmp_path / "one.analysis.json").read_text())
+        assert (report["overall"]["ttest"]["t"], report["overall"]["ttest"]["p"]) == (None, None)
+        assert report["difference_set"]["ids"] == [sample.sample_id]
+        assert report["difference_set"]["ttest"] is None
+        assert_renders(out, cli.format_analysis, 1)
+        b_rows = [line for line in (tmp_path / "one.analysis").read_text().splitlines()
+                  if line.startswith("b.preds")]
+        assert len(b_rows) == 2 and all(row.split()[-2:] == ["-", "-"] for row in b_rows)
 
     def test_analyze_missing_prediction_is_data_error(self, pipeline, capsys):
         root, path = pipeline
@@ -772,7 +798,8 @@ class TestAblate:
         [{"name": ["x"], "h": 1}],
         [{"name": "x", "h": 1}, {"name": "x", "h": 3}],
         [{"name": "baseline", "h": 1}],
-    ], ids=["nul", "number", "null", "list", "repeated", "implicit_baseline"])
+        [{"name": "a/b", "h": 1}],
+    ], ids=["nul", "number", "null", "list", "repeated", "implicit_baseline", "slash"])
     def test_bad_names_exit_1_before_any_training(self, tmp_path, capsys, sweep):
         path = write_config(tmp_path, {"max_epochs": 1})
         assert cli.main(["prepare", "--config", path]) == 0
@@ -786,6 +813,22 @@ class TestAblate:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "ablate:" not in out
         assert sorted(os.listdir(tmp_path)) == before
+
+    def test_one_sample_test_split_has_no_t_test(self, tmp_path):
+        path = write_config(tmp_path, {"max_epochs": 1})
+        assert cli.main(["prepare", "--config", path]) == 0
+        keep_first_test_sample(tmp_path)
+        sweep_path = str(tmp_path / "sweep.json")
+        with open(sweep_path, "w") as fh:
+            json.dump([{"name": "h1", "h": 1}], fh)
+        out = str(tmp_path / "ablation.txt")
+        assert cli.main(["ablate", "--config", path, "--sweep", sweep_path,
+                         "--out", out]) == 0
+        rows = json.loads((tmp_path / "ablation.txt.json").read_text())["rows"]
+        assert [(row["name"], row["t"], row["p"]) for row in rows] == [
+            ("baseline", None, None), ("h1", None, None)]
+        assert_renders(out, cli.format_ablation)
+        assert (tmp_path / "ablation.txt").read_text().splitlines()[2].split()[-2:] == ["-", "-"]
 
     def test_sweep_entry_keeps_its_rng_seed(self, tmp_path):
         # the run's seed sets the baseline's rng_seed; a sweep entry may override it

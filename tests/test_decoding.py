@@ -205,6 +205,13 @@ class TestEnsembleDistribution:
         with pytest.raises(UsageError):
             ensemble_distribution([np.array([0.5, 0.9])])
 
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_vector_rejected(self, bad):
+        # a NaN sum compares False against any tolerance
+        good = np.array([0.5, 0.5])
+        with pytest.raises(UsageError, match="not a probability vector"):
+            ensemble_distribution([good, np.array(bad)])
+
 
 def tiny_real_setup():
     cfg = toy_config(tdatlen=10, comlen=6, code_vocab_size=20, summary_vocab_size=20)

@@ -171,7 +171,7 @@ class TestEosEncoding:
             table = T.Tensor(table_data, requires_grad=True)
             w = T.GRUWeights(*(T.Tensor(p, requires_grad=True) for p in weight_data))
             f = encode(table, w)
-            T.sum_all(T.mul(f, projection)).backward()
+            op_graph.sum_all(op_graph.mul(f, projection)).backward()
             results.append([f.data, table.grad] + [p.grad for p in w])
         mine, theirs = results
         assert gru_rows == [5]                      # a, b, c, [5, 2] and the empty slot
@@ -510,8 +510,8 @@ def assert_within(mine, theirs, rel=1e-12):
 
 
 class TestFusedKernels:
-    """gru_sequence, episodic_gate, take_rows, attend, weighted_bag, dense
-    and cross_entropy are one tape node each, with hand-written backwards.
+    """gru_sequence, episodic_gate, attend, weighted_bag, dense and
+    cross_entropy are one tape node each, with hand-written backwards.
     Their values and every gradient must agree within 1e-12 relative with
     op_graph's step loops and elementwise graphs, alone and in a whole
     training step of each model variant."""
@@ -542,7 +542,7 @@ class TestFusedKernels:
                 gate = gate_op(x, q, m, mask, kind == "gated_squashed")
                 out = seq_op(x, w, gate=gate)
                 leaves += [q, m]
-            T.sum_all(T.mul(out, weights)).backward()
+            op_graph.sum_all(op_graph.mul(out, weights)).backward()
             results.append([out.data] + [leaf.grad for leaf in leaves])
         for mine, theirs in zip(*results):
             assert_within(mine, theirs)
@@ -561,7 +561,7 @@ class TestFusedKernels:
             ft, qt, mt = (T.Tensor(a, requires_grad=True) for a in (f, q, m))
             g1 = gate_op(ft, qt, mt, valid, squash)
             g2 = gate_op(ft, mt, mt, valid, squash)  # one tensor as query and memory
-            T.sum_all(T.mul(op_graph.add(g1, g2), weights)).backward()
+            op_graph.sum_all(op_graph.mul(op_graph.add(g1, g2), weights)).backward()
             results.append([g1.data, g2.data, ft.grad, qt.grad, mt.grad])
         for mine, theirs in zip(*results):
             assert_within(mine, theirs)
@@ -574,7 +574,7 @@ class TestFusedKernels:
             *w, x, h = (T.Tensor(a, requires_grad=True) for a in arrays)
             w = T.GRUWeights(*w)
             out = cell(x, h, w)
-            T.sum_all(T.mul(cell(x, out, w), out)).backward()
+            op_graph.sum_all(op_graph.mul(cell(x, out, w), out)).backward()
             results.append([out.data, x.grad, h.grad] + [p.grad for p in w])
         for mine, theirs in zip(*results):
             assert_within(mine, theirs)
@@ -605,8 +605,8 @@ class TestFusedKernels:
 
         fused = step(T.cross_entropy)
         calls = {}
-        for name in ("gru_sequence", "episodic_gate", "take_rows", "attend", "weighted_bag",
-                     "dense"):
+        for name in ("gru_sequence", "episodic_gate", "embedding_lookup", "attend",
+                     "weighted_bag", "dense"):
             def counted(*args, _op=getattr(op_graph, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _op(*args, **kwargs)
@@ -615,8 +615,10 @@ class TestFusedKernels:
         smn = cfg.encoder_kind == "smn"
         assert calls["gru_sequence"] == 2 + smn * (cfg.h + (cfg.statement_encoding == "eos"))
         assert calls.get("episodic_gate", 0) == smn * cfg.h
-        # only the summary_vector memory reads its statements at the rows
-        assert calls.get("take_rows", 0) == smn * (cfg.gate_query == "summary_vector")
+        # the code and summary words; the EOS words and the slots' statement
+        # states; the summary_vector memory's statements at the rows
+        assert calls["embedding_lookup"] == 2 + smn * (
+            2 * (cfg.statement_encoding == "eos") + (cfg.gate_query == "summary_vector"))
         assert calls["attend"] == 1 + smn
         assert calls.get("weighted_bag", 0) == smn * (cfg.statement_encoding == "positional")
         assert calls["dense"] == 2

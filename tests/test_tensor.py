@@ -62,7 +62,7 @@ class TestMatmul:
     def test_gradients_flow_to_both_operands(self):
         a, b = leaf([[1.0, 2.0], [3.0, 4.0]]), leaf([[5.0, 6.0], [7.0, 8.0]])
         bias = leaf([0.0, 0.0])
-        T.sum_all(T.dense(a, b, bias)).backward()
+        op_graph.sum_all(T.dense(a, b, bias)).backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 2)) @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((2, 2)))
         np.testing.assert_array_equal(bias.grad, [2.0, 2.0])
@@ -87,7 +87,7 @@ class TestElementwise:
         x = leaf([0.0])
         y = op_graph.tanh(x)
         assert y.data[0] == 0.0
-        T.sum_all(y).backward()
+        op_graph.sum_all(y).backward()
         assert x.grad[0] == 1.0
 
     def test_sigmoid_at_zero(self):
@@ -121,17 +121,17 @@ class TestElementwise:
         x = leaf([-0.1, 0.0])
         y = op_graph.abs_(x)
         np.testing.assert_array_equal(y.data, [0.1, 0.0])
-        T.sum_all(y).backward()
+        op_graph.sum_all(y).backward()
         np.testing.assert_array_equal(x.grad, [-1.0, 0.0])
 
     def test_binary_ops_reject_shape_mismatch(self):
-        for op in (op_graph.add, op_graph.sub, T.mul):
+        for op in (op_graph.add, op_graph.sub, op_graph.mul):
             with pytest.raises(DimensionError):
                 op(T.constant(np.ones(3)), T.constant(np.ones(4)))
 
     def test_relu_blocks_negative_gradient(self):
         x = leaf([-1.0, 2.0])
-        T.sum_all(T.relu(x)).backward()
+        op_graph.sum_all(T.relu(x)).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
 
@@ -166,7 +166,7 @@ class TestAttend:
     def run(self, attend_op, q, k, rows, weights):
         qt, kt = leaf(q), leaf(k)
         out = attend_op(qt, kt, rows)
-        T.sum_all(T.mul(out, T.constant(weights))).backward()
+        op_graph.sum_all(op_graph.mul(out, T.constant(weights))).backward()
         return out.data, qt.grad, kt.grad
 
     def test_matches_reference_chain_bitwise(self):
@@ -241,7 +241,7 @@ class TestConcat:
     def test_gradient_splits_back(self):
         a, b = leaf([1.0, 2.0]), leaf([3.0])
         out = T.concat([a, b], axis=0)
-        T.sum_all(T.mul(out, T.constant([1.0, 2.0, 3.0]))).backward()
+        op_graph.sum_all(op_graph.mul(out, T.constant([1.0, 2.0, 3.0]))).backward()
         np.testing.assert_array_equal(a.grad, [1.0, 2.0])
         np.testing.assert_array_equal(b.grad, [3.0])
 
@@ -254,7 +254,7 @@ class TestEmbeddingLookup:
 
     def test_gradient_scatter_adds(self):
         table = leaf(np.zeros((5, 3)))
-        T.sum_all(T.embedding_lookup(table, [3, 3])).backward()
+        op_graph.sum_all(T.embedding_lookup(table, [3, 3])).backward()
         expected = np.zeros((5, 3))
         expected[3] = 2.0
         np.testing.assert_array_equal(table.grad, expected)
@@ -284,12 +284,12 @@ class TestEmbeddingLookup:
         for lookup, pick in ((T.embedding_lookup, T.cross_entropy),
                              (op_graph.embedding_lookup, op_graph.cross_entropy)):
             tab, pr = leaf(table), leaf(probs)
-            terms = [T.mul(lookup(tab, code_ids), T.constant(w_code)),
-                     T.mul(lookup(tab, stmt_ids), T.constant(w_stmt))]
-            terms += [T.mul(pick(pr, p), T.constant(w)) for p, w in zip(picks, w_pick)]
-            loss = T.sum_all(terms[0])
+            terms = [op_graph.mul(lookup(tab, code_ids), T.constant(w_code)),
+                     op_graph.mul(lookup(tab, stmt_ids), T.constant(w_stmt))]
+            terms += [op_graph.mul(pick(pr, p), T.constant(w)) for p, w in zip(picks, w_pick)]
+            loss = op_graph.sum_all(terms[0])
             for term in terms[1:]:
-                loss = op_graph.add(loss, T.sum_all(term))
+                loss = op_graph.add(loss, op_graph.sum_all(term))
             loss.backward()
             grads.append((tab.grad, pr.grad))
         (mine_tab, mine_pr), (ref_tab, ref_pr) = grads
@@ -297,12 +297,31 @@ class TestEmbeddingLookup:
         assert mine_pr.tobytes() == ref_pr.tobytes()
         assert np.count_nonzero(ref_tab) == 28 and np.count_nonzero(ref_pr) > 6
 
+    def test_rows_of_a_3d_table_scatter_as_a_row_loop_bitwise(self):
+        # the summary_vector memory gathers [n, d] statement blocks at the
+        # batch rows; repeated rows add back in row order, as a loop would
+        rng = np.random.default_rng(6)
+        spread = lambda shape: rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, shape)
+        table, rows = leaf(spread((3, 5, 4))), np.array([2, 0, 2, 2, 1, 0])
+        weights = T.constant(spread((6, 5, 4)))
+        out = T.embedding_lookup(table, rows)
+        np.testing.assert_array_equal(out.data, table.data[rows])
+        op_graph.sum_all(op_graph.mul(out, weights)).backward()
+        looped = np.zeros(table.shape)
+        for source, row in enumerate(rows):
+            looped[row] += weights.data[source]
+        assert table.grad.tobytes() == looped.tobytes()
+
+    def test_table_needs_two_dimensions(self):
+        with pytest.raises(DimensionError, match="2-d or more"):
+            T.embedding_lookup(T.constant(np.ones(4)), [1])
+
     def test_scatter_needs_a_contiguous_gradient(self):
         table = leaf(np.ones((4, 3)))
         table.grad = np.zeros((3, 4)).T                         # a view with no flat form
         out = T.embedding_lookup(table, [1, 2])
         with pytest.raises(UsageError, match="C-contiguous"):
-            T.sum_all(out).backward()
+            op_graph.sum_all(out).backward()
 
 
 class TestGRUCell:
@@ -331,7 +350,7 @@ class TestGRUCell:
             x, h = leaf(rng.uniform(-1, 1, (1, 3))), leaf(rng.uniform(-1, 1, (1, 4)))
             proj = T.constant(rng.uniform(0.5, 1.5, (1, 4)))
             result = verify.check_gradient(
-                f"gru{trial}", lambda: T.sum_all(T.mul(T.gru_cell(x, h, w), proj)),
+                f"gru{trial}", lambda: op_graph.sum_all(op_graph.mul(T.gru_cell(x, h, w), proj)),
                 [x, h, *w])
             assert result.max_rel_err < 1e-4
 
@@ -351,7 +370,7 @@ class TestGRUSequence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = T.gru_sequence(x, w, gate=gate, h0=h0)
-            T.sum_all(T.mul(out, T.constant(np.full(out.shape, 0.5)))).backward()
+            op_graph.sum_all(op_graph.mul(out, T.constant(np.full(out.shape, 0.5)))).backward()
         assert np.isfinite(out.data).all()
         for p in (x, *w, gate, h0):
             if p is not None:
@@ -392,7 +411,7 @@ class TestOneNodeLayers:
     def run(build, arrays, weights):
         leaves = [leaf(a) for a in arrays]
         out = build(*leaves)
-        T.sum_all(T.mul(out, T.constant(weights))).backward()
+        op_graph.sum_all(op_graph.mul(out, T.constant(weights))).backward()
         return [out.data.tobytes()] + [x.grad.tobytes() for x in leaves]
 
     @pytest.mark.parametrize("shape", [(100, 13, 32), (100, 27)])
@@ -420,7 +439,7 @@ class TestOneNodeLayers:
                    for ce in (T.cross_entropy, op_graph.cross_entropy)]
         assert results[0] == results[1]
         pred = leaf(T.softmax(T.constant(logits)).data)
-        T.sum_all(T.cross_entropy(pred, targets)).backward()
+        op_graph.sum_all(T.cross_entropy(pred, targets)).backward()
         assert pred.data[2, targets[2]] < 1e-12 and pred.grad[2].tolist() == [0.0] * 27
         assert np.count_nonzero(pred.grad) == 8
 
@@ -433,7 +452,7 @@ class TestOneNodeLayers:
         weights = rng.uniform(0.5, 1.5, (6, 5))
         masked = self.run(lambda f, q, m: T.episodic_gate(f, q, m, valid, squash),
                           arrays, weights)
-        chain = self.run(lambda f, q, m: T.mul(T.episodic_gate(f, q, m, np.ones((6, 5)), squash),
+        chain = self.run(lambda f, q, m: op_graph.mul(T.episodic_gate(f, q, m, np.ones((6, 5)), squash),
                                                T.constant(valid.astype(np.float64))),
                          arrays, weights)
         assert masked == chain
@@ -471,12 +490,12 @@ class TestOneNodeLayers:
 class TestBackward:
     def test_square_derivative(self):
         x = leaf([3.0])
-        T.sum_all(T.mul(x, x)).backward()
+        op_graph.sum_all(op_graph.mul(x, x)).backward()
         assert x.grad[0] == pytest.approx(6.0)
 
     def test_tanh_derivative_at_zero(self):
         x = leaf([0.0])
-        T.sum_all(op_graph.tanh(x)).backward()
+        op_graph.sum_all(op_graph.tanh(x)).backward()
         assert x.grad[0] == 1.0
 
     def test_non_scalar_loss_rejected(self):
@@ -487,9 +506,9 @@ class TestBackward:
         # y feeds two consumers, so its gradient holds both terms before its
         # backward reads it; the leaves keep exact gradients
         x, w = leaf([1.0, -2.0, 3.0]), leaf([0.5, 2.0, -1.0])
-        y = T.mul(x, x)
+        y = op_graph.mul(x, x)
         s = op_graph.add(y, y)
-        loss = T.sum_all(T.mul(s, w))
+        loss = op_graph.sum_all(op_graph.mul(s, w))
         loss.backward()
         assert y.grad is None and s.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad, 4.0 * x.data * w.data)
@@ -497,7 +516,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = leaf([2.0])
-        y = T.sum_all(T.mul(x, x))
+        y = op_graph.sum_all(op_graph.mul(x, x))
         y.backward()
         first = x.grad.copy()
         y.backward()
@@ -509,7 +528,7 @@ class TestBackward:
         y = x
         for _ in range(5000):
             y = op_graph.add_const(y, 0.0)
-        T.sum_all(y).backward()
+        op_graph.sum_all(y).backward()
         assert x.grad[0] == 1.0
 
 
@@ -549,6 +568,19 @@ class TestAdam:
         assert run() == run()
 
 
+def public_kernels() -> set[str]:
+    """The kernels of stmtmem.tensor: its public functions that take a
+    Tensor and return one."""
+    def is_kernel(fn):
+        sig = inspect.signature(fn)
+        return sig.return_annotation == "Tensor" and any(
+            "Tensor" in str(p.annotation) for p in sig.parameters.values())
+
+    return {name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__
+            and not name.startswith("_") and is_kernel(fn)}
+
+
 class TestFiniteDifferenceInvariant:
     def test_all_ops_match_central_differences(self):
         results = verify.run_op_checks(seed=123, trials=4)
@@ -556,19 +588,11 @@ class TestFiniteDifferenceInvariant:
             assert r.passed, f"{r.name}: {r.max_rel_err:.3e}"
 
     def test_every_kernel_has_a_gradient_check(self):
-        # a kernel is a public function of stmtmem.tensor that takes a
-        # Tensor and returns one; a case is named after its kernel, with
-        # an optional _suffix for a variant (dense_shared)
-        def is_kernel(fn):
-            sig = inspect.signature(fn)
-            return sig.return_annotation == "Tensor" and any(
-                "Tensor" in str(p.annotation) for p in sig.parameters.values())
-
-        kernels = {name for name, fn in vars(T).items()
-                   if inspect.isfunction(fn) and fn.__module__ == T.__name__
-                   and not name.startswith("_") and is_kernel(fn)}
+        # a case is named after its kernel, with an optional _suffix for a
+        # variant (dense_shared)
+        kernels = public_kernels()
         assert {"dense", "cross_entropy", "attend", "gru_sequence", "gru_cell", "episodic_gate",
-                "take_rows"} <= kernels
+                "embedding_lookup"} <= kernels
         cases = [name for name, _, _ in verify.op_check_cases(np.random.default_rng(0))]
         checked = {}
         for case in cases:

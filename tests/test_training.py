@@ -28,6 +28,7 @@ from stmtmem.training import (
 from stmtmem.verify import model_variants, toy_config
 
 from test_model import assert_within
+from test_tensor import public_kernels
 
 
 def make_corpus(n_samples=4, words=("alpha", "beta", "gamma")):
@@ -252,6 +253,25 @@ class TestBatchEncodesEachSampleOnce:
         assert encoded_rows == [3, len(pairs)]
         for mine, theirs in zip(once, each):
             assert_within(mine, theirs)
+
+
+class TestKernelsInUse:
+    def test_every_tensor_kernel_is_called_by_the_model_or_training(self, monkeypatch):
+        # the converse of test_every_kernel_has_a_gradient_check: one epoch
+        # of each variant calls every kernel but gru_cell, which the model
+        # imports only as the name the benchmark's tracer hooks
+        called = set()
+        for module in (stmtmem.model, stmtmem.training):
+            for name in public_kernels() & set(vars(module)):
+                def counted(*args, _op=getattr(module, name), _name=name, **kwargs):
+                    called.add(_name)
+                    return _op(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        base = toy_config(comlen=6, code_vocab_size=30, summary_vocab_size=30)
+        for _, cfg in model_variants(base):
+            encoded, _, _ = encoded_corpus(cfg)
+            train(encoded, encoded, cfg, 1)
+        assert sorted(public_kernels() - called) == ["gru_cell"]
 
 
 class TestSelectBest:
