@@ -1,9 +1,11 @@
 """Statement-memory code summarization: model, pipeline, and evaluation."""
 
+import ctypes
 import os
 
-# One BLAS thread unless the user set a count, before numpy loads: a second
-# one gains no wall time at these shapes and changes the trained bits.
+# One BLAS thread unless the user set a count: a second one gains no wall
+# time at these shapes and changes the trained bits. The variables reach a
+# BLAS that loads after this; one that numpy loaded earlier is set below.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -11,13 +13,11 @@ from .config import ModelConfig
 from .corpus import (
     EncodedSample,
     Sample,
-    StatementMatrix,
     Vocabulary,
     build_vocab,
     encode_sample,
     filter_by_length,
     split_by_project,
-    split_statements,
 )
 from .decoding import LoadedModel, PredictionRecord, ensemble_distribution, greedy_decode
 from .metrics import bleu_corpus, difference_set, improved_set, meteor
@@ -30,6 +30,34 @@ from .training import EpochReport, TrainingPair, evaluate_next_token, expand_pai
 
 __version__ = "0.1.0"
 
+
+def _openblas_thread_calls():
+    # (get, set) of numpy's OpenBLAS, whose wheels rename the symbols; None if unknown
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads")):
+        if hasattr(lib, get) and hasattr(lib, put):
+            get, put = getattr(lib, get), getattr(lib, put)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS, or None when it is unknown."""
+    calls = _openblas_thread_calls()
+    return None if calls is None else calls[0]()
+
+
+_calls, _wanted = _openblas_thread_calls(), os.environ["OPENBLAS_NUM_THREADS"]
+if _calls and _wanted.isdigit() and int(_wanted) > 0 and _calls[0]() != int(_wanted):
+    _calls[1](int(_wanted))
+
 __all__ = [
     "AdamState",
     "EncodedSample",
@@ -39,12 +67,12 @@ __all__ = [
     "ParameterSet",
     "PredictionRecord",
     "Sample",
-    "StatementMatrix",
     "SyntheticSpec",
     "Tensor",
     "TrainingPair",
     "Vocabulary",
     "adam_step",
+    "blas_threads",
     "bleu_corpus",
     "build_vocab",
     "difference_set",
@@ -65,6 +93,5 @@ __all__ = [
     "positional_matrix",
     "save_checkpoint",
     "split_by_project",
-    "split_statements",
     "train",
 ]

@@ -358,9 +358,8 @@ def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str |
     scored_a = _score(refs, preds_a, name_a)
     scored_b = _score(refs, preds_b, name_b)
     met_a, met_b = scored_a.meteor_by_id(), scored_b.meteor_by_id()
-    ids = sorted(refs)     # a t-test needs 2 pairs; below that t and p are null
-    overall_t = paired_t_test([met_a[sid] for sid in ids],
-                              [met_b[sid] for sid in ids]) if len(ids) >= 2 else None
+    ids = sorted(refs)
+    overall_t = paired_t_test([met_a[sid] for sid in ids], [met_b[sid] for sid in ids])
     partition = difference_set(preds_a, preds_b, refs)
     data = {
         "system_a": name_a,
@@ -462,7 +461,7 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
 
     keys = sorted(per_sample[baseline_index])
     for i, (row, scores) in enumerate(zip(rows, per_sample)):
-        tt = None if i == baseline_index or len(keys) < 2 else paired_t_test(
+        tt = None if i == baseline_index else paired_t_test(
             [scores[k] for k in keys], [per_sample[baseline_index][k] for k in keys])
         row["t"], row["p"] = (tt.t, tt.p) if tt else (None, None)
     data = {"baseline": rows[baseline_index]["name"], "rows": rows}

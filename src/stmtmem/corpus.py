@@ -103,70 +103,44 @@ def build_vocab(samples: Sequence[Sample], max_size: int, field: str) -> Vocabul
 
 
 @dataclass
-class StatementMatrix:
-    """n x Y grid of token ids; row i holds statement i, zero-padded."""
-
-    ids: np.ndarray            # [n, Y] int64
-    statement_count: int
-    lengths: np.ndarray        # [n] int64, true length of each row
-
-
-@dataclass
 class EncodedSample:
     sample_id: str
     code_ids: np.ndarray       # [tdatlen] int64
-    statements: StatementMatrix
+    stmt_ids: np.ndarray       # [n, Y] int64; row i holds statement i, zero-padded
+    stmt_lengths: np.ndarray   # [n] int64, true length of each row
     summary_ids: np.ndarray    # [comlen] int64, <s> ... </s> then pad
 
 
-def split_statement_tokens(code_tokens: Sequence[str]) -> list[list[str]]:
-    """Partition at <NL> markers; the delimiter is dropped, empty segments too."""
-    statements: list[list[str]] = []
-    current: list[str] = []
-    for token in code_tokens:
-        if token == NEWLINE_TOKEN:
-            if current:
-                statements.append(current)
-            current = []
-        else:
-            current.append(token)
-    if current:
-        statements.append(current)
-    return statements
-
-
-def split_statements(code_tokens: Sequence[str], vocab: Vocabulary, n: int, y: int) -> StatementMatrix:
-    """Build the statement grid: first n statements, each truncated to its
-    first y tokens, encoded with <UNK> fallback."""
-    if n < 1 or y < 1:
-        raise UsageError(f"statement grid dims must be positive, got n={n}, y={y}")
-    statements = split_statement_tokens(code_tokens)[:n]
-    ids = np.zeros((n, y), dtype=np.int64)
-    lengths = np.zeros(n, dtype=np.int64)
-    for i, stmt in enumerate(statements):
-        row = stmt[:y]
-        lengths[i] = len(row)
-        ids[i, : len(row)] = [vocab.encode(t) for t in row]
-    return StatementMatrix(ids=ids, statement_count=len(statements), lengths=lengths)
+def split_statement_tokens(code_tokens: Sequence[str]) -> list[tuple[int, int]]:
+    """The (start, stop) span of each statement: each non-empty run of
+    tokens between <NL> markers, the markers themselves dropped."""
+    cuts = [i for i, token in enumerate(code_tokens) if token == NEWLINE_TOKEN]
+    starts, stops = [0] + [i + 1 for i in cuts], cuts + [len(code_tokens)]
+    return [(a, b) for a, b in zip(starts, stops) if b > a]
 
 
 def encode_sample(sample: Sample, code_vocab: Vocabulary, sum_vocab: Vocabulary,
                   config: ModelConfig) -> EncodedSample:
-    """Fixed-shape encoding: code padded/truncated to tdatlen (head kept),
-    summary framed as <s> ... </s> in comlen slots with </s> always the
-    final retained token."""
+    """Fixed-shape encoding. One lookup of the code tokens gives both the
+    code row, padded/truncated to tdatlen (head kept), and the grid, whose
+    rows are the first n statements cut to their first y tokens. The
+    summary is framed as <s> ... </s> in comlen slots, </s> always last."""
+    ids = np.array([code_vocab.encode(t) for t in sample.code_tokens], dtype=np.int64)
     code_ids = np.zeros(config.tdatlen, dtype=np.int64)
-    kept = sample.code_tokens[: config.tdatlen]
-    code_ids[: len(kept)] = [code_vocab.encode(t) for t in kept]
+    code_ids[: min(len(ids), config.tdatlen)] = ids[: config.tdatlen]
+    stmt_ids = np.zeros((config.n, config.y), dtype=np.int64)
+    stmt_lengths = np.zeros(config.n, dtype=np.int64)
+    for i, (start, stop) in enumerate(split_statement_tokens(sample.code_tokens)[: config.n]):
+        row = ids[start: min(stop, start + config.y)]
+        stmt_lengths[i] = len(row)
+        stmt_ids[i, : len(row)] = row
 
     summary = [BOS_ID] + [sum_vocab.encode(t) for t in sample.summary_tokens] + [EOS_ID]
     if len(summary) > config.comlen:
         summary = summary[: config.comlen - 1] + [EOS_ID]
     summary_ids = np.zeros(config.comlen, dtype=np.int64)
     summary_ids[: len(summary)] = summary
-
-    statements = split_statements(sample.code_tokens, code_vocab, config.n, config.y)
-    return EncodedSample(sample.sample_id, code_ids, statements, summary_ids)
+    return EncodedSample(sample.sample_id, code_ids, stmt_ids, stmt_lengths, summary_ids)
 
 
 def encoding_key(config: ModelConfig) -> tuple[int, int, int, int]:

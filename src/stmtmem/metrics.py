@@ -223,11 +223,8 @@ def difference_set(preds_a: Mapping[str, Sequence[str]], preds_b: Mapping[str, S
         else:
             same.append(sid)
     total = len(difference) + len(same)
-    ttest = None
-    if len(difference) >= 2:
-        met_a = [meteor(preds_a[sid], refs[sid]) for sid in difference]
-        met_b = [meteor(preds_b[sid], refs[sid]) for sid in difference]
-        ttest = paired_t_test(met_a, met_b)
+    ttest = paired_t_test([meteor(preds_a[sid], refs[sid]) for sid in difference],
+                          [meteor(preds_b[sid], refs[sid]) for sid in difference])
     scores = {
         "difference": {"a": _set_scores(difference, preds_a, refs),
                        "b": _set_scores(difference, preds_b, refs)},

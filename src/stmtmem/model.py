@@ -82,7 +82,7 @@ def init_params(config: ModelConfig) -> ParameterSet:
     biases zero. The draw order is fixed, so identical configs give
     bitwise-identical parameters."""
     rng = np.random.default_rng(config.rng_seed)
-    params = ParameterSet(config.rng_seed)
+    params = ParameterSet()
     for name, shape, kind in _param_specs(config):
         if kind == "embedding":
             params.add(name, uniform_init(rng, shape, -0.05, 0.05))
@@ -135,8 +135,8 @@ def batch_inputs(samples: Sequence[EncodedSample],
                     dtype=np.int64)
     distinct = list({id(s): s for s in samples}.values())
     code = np.stack([s.code_ids for s in distinct])
-    stmt = np.stack([s.statements.ids for s in distinct])
-    lens = np.stack([s.statements.lengths for s in distinct])
+    stmt = np.stack([s.stmt_ids for s in distinct])
+    lens = np.stack([s.stmt_lengths for s in distinct])
     if summary_rows is None:
         summary = np.stack([s.summary_ids for s in samples])
     else:

@@ -22,8 +22,7 @@ ADAM_EPSILON = 1e-8
 class ParameterSet:
     """Ordered map name -> trainable Tensor; iteration is lexicographic."""
 
-    def __init__(self, rng_seed: int):
-        self.rng_seed = int(rng_seed)
+    def __init__(self):
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
@@ -53,7 +52,7 @@ class ParameterSet:
             t.grad = None
 
     def copy(self) -> "ParameterSet":
-        clone = ParameterSet(self.rng_seed)
+        clone = ParameterSet()
         for name in self.names():
             clone.add(name, self._params[name].data.copy())
         return clone
@@ -174,7 +173,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, ParameterSet]:
         if len(lines) != 3 + count:
             raise ValueError(f"it has {len(lines) - 3} lines, its count says {count}")
         expected = {name: shape for name, shape, _ in _param_specs(config)}
-        params = ParameterSet(config.rng_seed)
+        params = ParameterSet()
         end = 0
         for line in lines[3:]:
             name, dims, offset = line.split("\t")

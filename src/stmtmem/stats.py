@@ -86,9 +86,9 @@ class TTestResult:
     degenerate: bool = False
 
 
-def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTestResult:
-    """Paired t-test on aligned score lists: t = mean(d) / (sd(d)/sqrt(N))
-    with the sample standard deviation (N-1 denominator).
+def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTestResult | None:
+    """Paired t-test on aligned score lists, None below two pairs: t =
+    mean(d) / (sd(d)/sqrt(N)) with the sample standard deviation (N-1).
 
     If the differences have zero variance: t=0, p=1 when the mean is also
     zero, otherwise p=0 with the degenerate flag set.
@@ -97,7 +97,7 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
     if len(scores_b) != n:
         raise UsageError(f"paired t-test needs aligned lists, got {n} and {len(scores_b)}")
     if n < 2:
-        raise UsageError(f"paired t-test needs at least 2 pairs, got {n}")
+        return None
     diffs = [float(a) - float(b) for a, b in zip(scores_a, scores_b)]
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)

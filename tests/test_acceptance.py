@@ -218,7 +218,7 @@ def train_best_arrays(cfg, train_set, val_set, code_vocab, sum_vocab, max_epochs
 
 
 def as_parameter_set(cfg, arrays):
-    params = ParameterSet(cfg.rng_seed)
+    params = ParameterSet()
     for name, data in arrays.items():
         params.add(name, data)
     return params

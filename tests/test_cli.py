@@ -72,7 +72,7 @@ def keep_first_test_sample(root) -> None:
                     encoding="utf-8")
 
 
-def write_config(tmp_path, overrides=None) -> str:
+def write_config(tmp_path, overrides=None, name="run.json") -> str:
     raw = base_config_dict(str(tmp_path))
     if overrides:
         for key, value in overrides.items():
@@ -80,7 +80,7 @@ def write_config(tmp_path, overrides=None) -> str:
                 raw[key].update(value)
             else:
                 raw[key] = value
-    path = str(tmp_path / "run.json")
+    path = str(tmp_path / name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(raw, fh)
     return path
@@ -247,12 +247,15 @@ class TestPrepare:
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """prepare + train once; several tests reuse the artifacts."""
+    """prepare + train once; several tests reuse the artifacts, and none
+    may rewrite the shared config."""
     root = tmp_path_factory.mktemp("pipeline")
     path = write_config(root, {"max_epochs": 3})
+    written = (root / "run.json").read_bytes()
     assert cli.main(["prepare", "--config", path]) == 0
     assert cli.main(["train", "--config", path]) == 0
-    return root, path
+    yield root, path
+    assert (root / "run.json").read_bytes() == written, "a test rewrote the shared run.json"
 
 
 class TestTrainPredictEvaluate:
@@ -307,8 +310,8 @@ class TestTrainPredictEvaluate:
         perfect = str(root / "perfect.preds")
         write_predictions(perfect, [PredictionRecord(s.sample_id, list(s.summary_tokens))
                                     for s in refs])
-        cfg_path = write_config(root, {"max_epochs": 3,
-                                       "paths": {"predictions": perfect}})
+        cfg_path = write_config(root, {"max_epochs": 3, "paths": {"predictions": perfect}},
+                                name="perfect.json")
         assert cli.main(["evaluate", "--config", cfg_path,
                          "--out", str(root / "perfect.report")]) == 0
         report = json.loads((root / "perfect.report.json").read_text())
@@ -684,16 +687,46 @@ class TestDataFileMutations:
 class TestBlasThreads:
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def thread_vars_after_import(self, **overrides):
+    # one epoch of attendgru_only on the criterion-6 corpus, then the BLAS
+    # thread count and the trained parameters' digest
+    TRAIN = """
+import hashlib
+import stmtmem
+from stmtmem import (ModelConfig, SyntheticSpec, build_vocab, encode_sample,
+                     generate_synthetic_corpus, train)
+spec = SyntheticSpec(projects=12, samples_per_project=15, statement_range=(5, 9),
+                     max_payloads=3)
+samples = generate_synthetic_corpus(spec, seed=2024)
+cv, sv = build_vocab(samples, 200, "code"), build_vocab(samples, 100, "summary")
+cfg = ModelConfig(tdatlen=96, comlen=13, e_dim=16, l_dim=16, h=2, n=10, y=10,
+                  code_vocab_size=len(cv), summary_vocab_size=len(sv), projection_dim=32,
+                  grad_clip=5.0, encoder_kind="attendgru_only").validate()
+encoded = [encode_sample(s, cv, sv, cfg) for s in samples]
+best, _ = train(encoded[:150], encoded[150:], cfg, max_epochs=1)
+data = b"".join(t.data.tobytes() for _, t in best.items())
+print(stmtmem.blas_threads(), hashlib.sha256(data).hexdigest())
+"""
+
+    def run_without_thread_vars(self, code, **overrides):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {k: v for k, v in os.environ.items() if k not in self.VARS}
         env.update(overrides, PYTHONPATH=src)
-        code = ("import os, stmtmem; print(' '.join(os.environ[v] for v in "
-                f"{self.VARS!r}))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout.split()
+
+    def thread_vars_after_import(self, **overrides):
+        return self.run_without_thread_vars(
+            f"import os, stmtmem; print(' '.join(os.environ[v] for v in {self.VARS!r}))",
+            **overrides)
+
+    def test_trained_bits_do_not_depend_on_import_order(self):
+        # numpy imported first loads OpenBLAS before stmtmem sets the variables
+        default = self.run_without_thread_vars(self.TRAIN)
+        numpy_first = self.run_without_thread_vars("import numpy\n" + self.TRAIN)
+        assert default[0] in ("1", "None")
+        assert numpy_first == default
 
     def test_import_defaults_to_one_thread(self):
         assert self.thread_vars_after_import() == ["1", "1", "1"]

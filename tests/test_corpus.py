@@ -1,5 +1,6 @@
 """Vocabulary building, statement splitting, encoding, and splits."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +19,12 @@ from stmtmem.corpus import (
     filter_by_length,
     read_dataset,
     split_by_project,
+    NEWLINE_TOKEN,
     split_statement_tokens,
-    split_statements,
     write_dataset,
 )
 from stmtmem.errors import DataError, UsageError
+from stmtmem.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 
 def sample(code: str, summary: str = "does things", sid: str = "s1", pid: str = "p1") -> Sample:
@@ -71,46 +73,130 @@ class TestBuildVocab:
 
 
 class TestSplitStatements:
+    """Statement splitting as encode_sample's grid shows it."""
+
     def vocab(self):
         return build_vocab([sample("a = 1 ; return b c d e f g h")], 40, "code")
 
+    def grid(self, code, vocab, n=4, y=5):
+        out = encode_sample(sample(code), vocab, vocab, small_config(n=n, y=y))
+        assert out.stmt_ids.shape == (n, y) and out.stmt_lengths.shape == (n,)
+        return out
+
     def test_two_statements(self):
         vocab = self.vocab()
-        out = split_statements("a = 1 ; <NL> return a <NL>".split(), vocab, 4, 5)
-        assert out.statement_count == 2
-        assert list(out.lengths[:2]) == [4, 2]
-        assert [vocab.decode(i) for i in out.ids[0, :4]] == ["a", "=", "1", ";"]
-        assert [vocab.decode(i) for i in out.ids[1, :2]] == ["return", "a"]
+        out = self.grid("a = 1 ; <NL> return a <NL>", vocab)
+        assert list(out.stmt_lengths) == [4, 2, 0, 0]
+        assert [vocab.decode(i) for i in out.stmt_ids[0, :4]] == ["a", "=", "1", ";"]
+        assert [vocab.decode(i) for i in out.stmt_ids[1, :2]] == ["return", "a"]
 
     def test_no_delimiter_is_one_statement(self):
-        out = split_statements("a b c".split(), self.vocab(), 4, 5)
-        assert out.statement_count == 1
+        out = self.grid("a b c", self.vocab())
+        assert list(out.stmt_lengths) == [3, 0, 0, 0]
 
     def test_statement_cap(self):
-        tokens = []
-        for _ in range(75):
-            tokens += ["a", "<NL>"]
-        out = split_statements(tokens, self.vocab(), 70, 5)
-        assert out.statement_count == 70
+        out = self.grid(" ".join(["a <NL>"] * 75), self.vocab(), n=70)
+        assert (out.stmt_lengths == 1).all()
 
     def test_empty_segments_dropped(self):
-        out = split_statements("a <NL> <NL> <NL> b".split(), self.vocab(), 4, 5)
-        assert out.statement_count == 2
+        vocab = self.vocab()
+        out = self.grid("<NL> a <NL> <NL> <NL> b <NL>", vocab)
+        assert list(out.stmt_lengths) == [1, 1, 0, 0]
+        assert list(out.stmt_ids[:2, 0]) == [vocab.encode("a"), vocab.encode("b")]
 
     def test_row_truncation_keeps_prefix(self):
         vocab = self.vocab()
-        out = split_statements("b c d e f g h".split(), vocab, 4, 5)
-        assert out.lengths[0] == 5
-        assert [vocab.decode(i) for i in out.ids[0]] == ["b", "c", "d", "e", "f"]
+        out = self.grid("b c d e f g h", vocab)
+        assert out.stmt_lengths[0] == 5
+        assert [vocab.decode(i) for i in out.stmt_ids[0]] == ["b", "c", "d", "e", "f"]
 
     def test_no_newline_id_and_pad_contiguity(self):
         vocab = self.vocab()
-        out = split_statements("a = 1 <NL> b c <NL> d".split(), vocab, 4, 5)
-        assert "<NL>" not in [vocab.decode(i) for i in out.ids.flatten()]
-        for i in range(out.statement_count):
-            row = out.ids[i]
-            assert (row[: out.lengths[i]] != PAD_ID).all()
-            assert (row[out.lengths[i]:] == PAD_ID).all()
+        out = self.grid("a = 1 <NL> b c <NL> d", vocab)
+        assert "<NL>" not in [vocab.decode(i) for i in out.stmt_ids.flatten()]
+        for row, length in zip(out.stmt_ids, out.stmt_lengths):
+            assert (row[:length] != PAD_ID).all()
+            assert (row[length:] == PAD_ID).all()
+
+    def test_spans_exclude_markers(self):
+        tokens = "<NL> a b <NL> <NL> c".split()
+        assert split_statement_tokens(tokens) == [(1, 3), (5, 6)]
+        assert split_statement_tokens(["<NL>"]) == []
+
+
+def reference_statements(code_tokens):
+    """The token lists of the statements: the non-empty runs between <NL>s."""
+    statements, current = [], []
+    for token in code_tokens:
+        if token == NEWLINE_TOKEN:
+            if current:
+                statements.append(current)
+            current = []
+        else:
+            current.append(token)
+    if current:
+        statements.append(current)
+    return statements
+
+
+def reference_encode(s, code_vocab, sum_vocab, config):
+    """The two-pass encoder encode_sample replaced: code ids from the head of
+    the tokens, then a second split of the raw tokens into statements whose
+    tokens are looked up again."""
+    code_ids = np.zeros(config.tdatlen, dtype=np.int64)
+    kept = s.code_tokens[: config.tdatlen]
+    code_ids[: len(kept)] = [code_vocab.encode(t) for t in kept]
+    statements = reference_statements(s.code_tokens)
+    stmt_ids = np.zeros((config.n, config.y), dtype=np.int64)
+    stmt_lengths = np.zeros(config.n, dtype=np.int64)
+    for i, stmt in enumerate(statements[: config.n]):
+        row = stmt[: config.y]
+        stmt_lengths[i] = len(row)
+        stmt_ids[i, : len(row)] = [code_vocab.encode(t) for t in row]
+    summary = [BOS_ID] + [sum_vocab.encode(t) for t in s.summary_tokens] + [EOS_ID]
+    if len(summary) > config.comlen:
+        summary = summary[: config.comlen - 1] + [EOS_ID]
+    summary_ids = np.zeros(config.comlen, dtype=np.int64)
+    summary_ids[: len(summary)] = summary
+    return code_ids, stmt_ids, stmt_lengths, summary_ids
+
+
+class TestEncodeSampleMatchesReference:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        spec = SyntheticSpec(projects=4, samples_per_project=15, statement_range=(5, 9),
+                             max_payloads=3)
+        edge = [sample("<NL> a <NL> <NL> b c d e <NL>", sid="gaps"), sample("x y z", sid="flat"),
+                sample("<NL> <NL>", sid="markers"),
+                sample(" ".join(f"t{i} <NL>" for i in range(80)), sid="many")]
+        return (generate_synthetic_corpus(spec, seed=1) + generate_synthetic_corpus(spec, seed=2024)
+                + edge)
+
+    def vocabularies(self, corpus):
+        full = build_vocab(corpus, 200, "code")
+        assert NEWLINE_TOKEN in full
+        small = Vocabulary([t for t in full.id_to_token[:13] if t != NEWLINE_TOKEN])
+        assert len(small) == 12
+        return full, small
+
+    @pytest.mark.parametrize("tdatlen,n,y", [(96, 10, 10), (8, 2, 3), (200, 70, 30), (3, 10, 1)])
+    def test_arrays_equal_the_two_pass_encoder(self, corpus, tdatlen, n, y):
+        sum_vocab = build_vocab(corpus, 30, "summary")
+        cfg = small_config(tdatlen=tdatlen, comlen=6, n=n, y=y)
+        for code_vocab in self.vocabularies(corpus):
+            for s in corpus:
+                out = encode_sample(s, code_vocab, sum_vocab, cfg)
+                code, grid, lengths, summary = reference_encode(s, code_vocab, sum_vocab, cfg)
+                for mine, ref in ((out.code_ids, code), (out.stmt_ids, grid),
+                                  (out.stmt_lengths, lengths), (out.summary_ids, summary)):
+                    assert mine.dtype == ref.dtype and mine.shape == ref.shape
+                    assert mine.tobytes() == ref.tobytes(), s.sample_id
+
+    def test_filter_by_length_counts_the_same_statements(self, corpus):
+        counts = [len(reference_statements(s.code_tokens)) for s in corpus]
+        for threshold in (1, 3, 5, 7):
+            expected = [s for s, count in zip(corpus, counts) if count >= threshold]
+            assert filter_by_length(corpus, threshold) == expected
 
 
 class TestEncodeSample:

@@ -13,7 +13,6 @@ from stmtmem.corpus import (
     EncodedSample,
     RESERVED_TOKENS,
     Sample,
-    StatementMatrix,
     Vocabulary,
     build_vocab,
     encode_sample,
@@ -39,8 +38,7 @@ def vocab_of_size(v):
 
 def dummy_encoded(comlen=13, sample_id="s1"):
     return EncodedSample(sample_id, np.zeros(4, dtype=np.int64),
-                         StatementMatrix(np.zeros((2, 3), dtype=np.int64), 0,
-                                         np.zeros(2, dtype=np.int64)),
+                         np.zeros((2, 3), dtype=np.int64), np.zeros(2, dtype=np.int64),
                          np.zeros(comlen, dtype=np.int64))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import stmtmem.model
 from stmtmem import tensor as T
-from stmtmem.corpus import EncodedSample, StatementMatrix
+from stmtmem.corpus import EncodedSample
 from stmtmem.errors import DimensionError, UsageError
 from stmtmem.model import (
     ModelInputs,
@@ -347,7 +347,7 @@ def toy_sample(config, rng) -> EncodedSample:
     summary = np.zeros(config.comlen, dtype=np.int64)
     summary[0] = 1
     summary[1] = int(rng.integers(4, config.summary_vocab_size))
-    return EncodedSample("toy", code, StatementMatrix(stmt, count, lengths), summary)
+    return EncodedSample("toy", code, stmt, lengths, summary)
 
 
 class TestForward:
@@ -394,8 +394,7 @@ class TestForward:
             prefix_row(list(range(cfg.comlen + 1)), cfg.comlen)
         rng = np.random.default_rng(0)
         sample = toy_sample(cfg, rng)
-        bad = EncodedSample(sample.sample_id, sample.code_ids, sample.statements,
-                            np.zeros(cfg.comlen + 2, dtype=np.int64))
+        bad = replace(sample, summary_ids=np.zeros(cfg.comlen + 2, dtype=np.int64))
         with pytest.raises(UsageError):
             forward(bad, init_params(cfg), cfg)
 
@@ -403,11 +402,11 @@ class TestForward:
         cfg = toy_config()
         rng = np.random.default_rng(1)
         sample = toy_sample(replace(cfg, n=cfg.n - 1), rng)    # the last slot stays empty
-        sample.statements.ids = np.vstack([sample.statements.ids, np.zeros((1, cfg.y), np.int64)])
-        sample.statements.lengths = np.append(sample.statements.lengths, 0)
+        sample.stmt_ids = np.vstack([sample.stmt_ids, np.zeros((1, cfg.y), np.int64)])
+        sample.stmt_lengths = np.append(sample.stmt_lengths, 0)
         _, gates = forward(sample, init_params(cfg), cfg)
         assert gates.shape == (cfg.h, cfg.n)
-        count = sample.statements.statement_count
+        count = np.count_nonzero(sample.stmt_lengths)
         assert gates[:, :count].all() and not gates[:, count:].any()
 
     def test_attendgru_has_no_gates(self):

@@ -86,7 +86,11 @@ class TestPairedTTest:
         with pytest.raises(UsageError):
             paired_t_test([1.0, 2.0], [1.0])
         with pytest.raises(UsageError):
-            paired_t_test([1.0], [0.5])
+            paired_t_test([1.0], [])
+
+    def test_fewer_than_two_pairs_have_no_test(self):
+        assert paired_t_test([1.0], [0.5]) is None
+        assert paired_t_test([], []) is None
 
     def test_matches_scipy_on_random_data(self):
         rng = np.random.default_rng(8)

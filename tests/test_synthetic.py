@@ -7,11 +7,15 @@ from stmtmem.errors import ConfigError
 from stmtmem.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 
+def statements(code_tokens):
+    return [code_tokens[a:b] for a, b in split_statement_tokens(code_tokens)]
+
+
 def invert_templates(code_tokens, max_payloads=1):
     """Independent template-matching oracle: recover the summary that the
     generator must have produced for this code (the last payload wins)."""
     payloads = []
-    for stmt in split_statement_tokens(code_tokens):
+    for stmt in statements(code_tokens):
         if stmt[0] == "emit":
             payloads.append([stmt[1], "the", stmt[2], "data"])
         elif stmt[:2] == ["return", "this"]:
@@ -53,11 +57,11 @@ class TestGenerator:
 
     def test_payload_sits_mid_function(self):
         for s in generate_synthetic_corpus(self.spec, seed=9):
-            statements = split_statement_tokens(s.code_tokens)
-            payload_rows = [i for i, stmt in enumerate(statements)
+            stmts = statements(s.code_tokens)
+            payload_rows = [i for i, stmt in enumerate(stmts)
                             if stmt[0] in ("emit", "this") or stmt[:2] == ["return", "this"]]
             assert len(payload_rows) == 1
-            assert 0 < payload_rows[0] < len(statements) - 1
+            assert 0 < payload_rows[0] < len(stmts) - 1
 
     def test_multi_payload_last_one_wins(self):
         spec = SyntheticSpec(projects=6, samples_per_project=10,
@@ -65,11 +69,11 @@ class TestGenerator:
         counts = set()
         for s in generate_synthetic_corpus(spec, seed=13):
             assert s.summary_tokens == invert_templates(s.code_tokens, max_payloads=3)
-            statements = split_statement_tokens(s.code_tokens)
-            payload_rows = [i for i, stmt in enumerate(statements)
+            stmts = statements(s.code_tokens)
+            payload_rows = [i for i, stmt in enumerate(stmts)
                             if stmt[0] in ("emit", "this") or stmt[:2] == ["return", "this"]]
             counts.add(len(payload_rows))
-            assert all(0 < i < len(statements) - 1 for i in payload_rows)
+            assert all(0 < i < len(stmts) - 1 for i in payload_rows)
         assert {1, 2, 3} <= counts
 
     def test_spec_validation(self):

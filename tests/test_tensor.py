@@ -534,7 +534,7 @@ class TestBackward:
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
-        params = ParameterSet(0)
+        params = ParameterSet()
         p = params.add("w", np.array([1.0]))
         p.grad = np.array([2.0])
         state = AdamState.bind(params)
@@ -543,14 +543,14 @@ class TestAdam:
         assert p.grad is None and state.t == 1
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        params = ParameterSet(0)
+        params = ParameterSet()
         p = params.add("w", np.array([1.0, -2.0]))
         p.grad = np.zeros(2)
         adam_step(params, AdamState.bind(params), 1e-3)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_missing_gradient_names_parameter(self):
-        params = ParameterSet(0)
+        params = ParameterSet()
         params.add("alpha", np.ones(2))
         with pytest.raises(UsageError, match="alpha"):
             adam_step(params, AdamState.bind(params), 1e-3)
@@ -558,7 +558,7 @@ class TestAdam:
     def test_identical_runs_are_bitwise_identical(self):
         def run():
             rng = np.random.default_rng(42)
-            params = ParameterSet(42)
+            params = ParameterSet()
             p = params.add("w", rng.uniform(-1, 1, 8))
             state = AdamState.bind(params)
             for _ in range(5):
@@ -614,13 +614,13 @@ class TestDeterminism:
 
 class TestParameterSet:
     def test_iteration_is_lexicographic(self):
-        params = ParameterSet(0)
+        params = ParameterSet()
         for name in ("zeta", "alpha", "midway"):
             params.add(name, np.zeros(1))
         assert params.names() == ["alpha", "midway", "zeta"]
 
     def test_duplicate_names_rejected(self):
-        params = ParameterSet(0)
+        params = ParameterSet()
         params.add("w", np.zeros(1))
         with pytest.raises(UsageError):
             params.add("w", np.zeros(1))
