@@ -20,7 +20,7 @@ from .corpus import (
     split_by_project,
 )
 from .decoding import LoadedModel, PredictionRecord, ensemble_distribution, greedy_decode
-from .metrics import bleu_corpus, difference_set, improved_set, meteor
+from .metrics import bleu_corpus, compare, meteor
 from .model import forward, init_params, positional_matrix
 from .params import AdamState, ParameterSet, adam_step, load_checkpoint, save_checkpoint
 from .stats import paired_t_test
@@ -75,7 +75,7 @@ __all__ = [
     "blas_threads",
     "bleu_corpus",
     "build_vocab",
-    "difference_set",
+    "compare",
     "encode_sample",
     "ensemble_distribution",
     "evaluate_next_token",
@@ -84,7 +84,6 @@ __all__ = [
     "forward",
     "generate_synthetic_corpus",
     "greedy_decode",
-    "improved_set",
     "init_params",
     "load_checkpoint",
     "meteor",

@@ -34,10 +34,10 @@ from .corpus import (
 )
 from .decoding import LoadedModel, predict_corpus, read_predictions
 from .errors import ConfigError, DataError, StmtMemError, UsageError, VerificationError
-from .metrics import ScoredCorpus, check_aligned, difference_set, improved_set, score_corpus
+from .metrics import ScoredCorpus, check_aligned, compare, score_corpus
 from .model import parameter_count
 from .params import load_checkpoint, save_checkpoint
-from .stats import paired_t_test
+from .stats import paired_t_test, ttest_fields
 from .synthetic import SyntheticSpec, generate_synthetic_corpus
 from .training import format_training_log, select_best, train
 from . import verify
@@ -188,10 +188,17 @@ def _metric_table(rows) -> str:
     return "\n".join(lines)
 
 
-def _references(cfg: RunConfig) -> tuple[list[Sample], dict[str, list[str]]]:
-    samples = read_dataset(cfg.paths.test)
+def _read_split(cfg: RunConfig, name: str) -> list[Sample]:
+    """The samples of split `name` (train, val or test), which must hold some."""
+    path = getattr(cfg.paths, name)
+    samples = read_dataset(path)
     if not samples:
-        raise DataError(f"test split {cfg.paths.test} holds no samples")
+        raise DataError(f"{name} split {path} holds no samples")
+    return samples
+
+
+def _references(cfg: RunConfig) -> tuple[list[Sample], dict[str, list[str]]]:
+    samples = _read_split(cfg, "test")
     return samples, {s.sample_id: s.summary_tokens for s in samples}
 
 
@@ -246,7 +253,7 @@ def cmd_train(cfg: RunConfig) -> None:
     _require_paths(cfg, "train", "train", "val", "code_vocab", "summary_vocab", "checkpoint")
     code_vocab, sum_vocab = _load_vocabs(cfg)
     model_cfg = _effective_model(cfg, code_vocab, sum_vocab)
-    best, reports = _train_one(read_dataset(cfg.paths.train), read_dataset(cfg.paths.val),
+    best, reports = _train_one(_read_split(cfg, "train"), _read_split(cfg, "val"),
                                model_cfg, code_vocab, sum_vocab, cfg.max_epochs)
     save_checkpoint(cfg.paths.checkpoint, model_cfg, best)
     log_path = cfg.paths.log or cfg.paths.checkpoint + ".log"
@@ -269,7 +276,7 @@ def cmd_predict(cfg: RunConfig, checkpoints, out: str | None, dump_gates: bool) 
         checkpoints = [_flag_or_config(None, cfg, "predict", "--checkpoint", "checkpoint")]
     code_vocab, sum_vocab = _load_vocabs(cfg)
     models = _load_models(checkpoints)
-    samples, _ = _references(cfg)
+    samples = _read_split(cfg, "test")
     gates_path = out_path + ".gates" if dump_gates else None
     start = time.perf_counter()
     records = predict_corpus(models, samples, code_vocab, sum_vocab, out_path,
@@ -281,9 +288,11 @@ def cmd_predict(cfg: RunConfig, checkpoints, out: str | None, dump_gates: bool) 
 
 
 def _write_report(path: str, text: str, data: dict) -> None:
-    """Write the text report and its canonical-JSON companion, and print the text."""
+    """Write the text report and its canonical-JSON companion, and print the
+    text; both are built before either file is written."""
+    companion = canonical_json(data)
     write_text(path, text, "report")
-    write_text(path + ".json", canonical_json(data), "report")
+    write_text(path + ".json", companion, "report")
     print(text, end="")
 
 
@@ -350,39 +359,11 @@ def cmd_analyze(cfg: RunConfig, preds_a_path: str, preds_b_path: str, out: str |
     _require_paths(cfg, "analyze", "test")
     report_path = _flag_or_config(out, cfg, "analyze", "--out", "report")
     _, refs = _references(cfg)
-    preds_a = read_predictions(preds_a_path)
-    preds_b = read_predictions(preds_b_path)
     name_a = preds_a_path.rsplit("/", 1)[-1]
     name_b = preds_b_path.rsplit("/", 1)[-1]
-
-    scored_a = _score(refs, preds_a, name_a)
-    scored_b = _score(refs, preds_b, name_b)
-    met_a, met_b = scored_a.meteor_by_id(), scored_b.meteor_by_id()
-    ids = sorted(refs)
-    overall_t = paired_t_test([met_a[sid] for sid in ids], [met_b[sid] for sid in ids])
-    partition = difference_set(preds_a, preds_b, refs)
-    data = {
-        "system_a": name_a,
-        "system_b": name_b,
-        "overall": {
-            "a": {"meteor": scored_a.mean_meteor, "bleu": scored_a.corpus_bleu},
-            "b": {"meteor": scored_b.mean_meteor, "bleu": scored_b.corpus_bleu},
-            "ttest": ({"t": overall_t.t, "p": overall_t.p, "degenerate": overall_t.degenerate}
-                      if overall_t else {"t": None, "p": None, "degenerate": None}),
-        },
-        "difference_set": {
-            "pct": partition.difference_pct,
-            "ids": partition.difference_ids,
-            "scores": partition.scores,
-            "ttest": ({"t": partition.ttest_difference.t, "p": partition.ttest_difference.p}
-                      if partition.ttest_difference else None),
-        },
-    }
-    for key, (first, second) in (("improved_set_a_over_b", (met_a, met_b)),
-                                 ("improved_set_b_over_a", (met_b, met_a))):
-        improved = improved_set(first, second)
-        data[key] = {"pct": improved.size_pct, "ids": improved.ids,
-                     "mean_a": improved.mean_a, "mean_b": improved.mean_b}
+    scored_a = _score(refs, read_predictions(preds_a_path), name_a)
+    scored_b = _score(refs, read_predictions(preds_b_path), name_b)
+    data = {"system_a": name_a, "system_b": name_b, **compare(scored_a, scored_b)}
     _write_report(report_path, format_analysis(data, len(refs)), data)
 
 
@@ -436,8 +417,8 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
                           f"baseline configuration gets one named 'baseline')")
     baseline_index = next(i for i, (_, mc) in enumerate(configs) if mc == base_cfg)
 
-    train_raw, val_raw = read_dataset(cfg.paths.train), read_dataset(cfg.paths.val)
-    rows, per_sample = [], []
+    train_raw, val_raw = _read_split(cfg, "train"), _read_split(cfg, "val")
+    rows, runs = [], []
     for name, model_cfg in configs:
         best, reports = _train_one(train_raw, val_raw, model_cfg, code_vocab, sum_vocab,
                                    cfg.max_epochs)
@@ -446,7 +427,7 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
         pred_path = f"{ckpt_path}.preds"
         predict_corpus([LoadedModel(best, model_cfg)], samples, code_vocab, sum_vocab, pred_path)
         scored = _score(refs, read_predictions(pred_path), pred_path)
-        per_sample.append(scored.meteor_by_id())
+        runs.append(scored)
         rows.append({
             "name": name,
             "meteor": scored.mean_meteor,
@@ -459,11 +440,10 @@ def cmd_ablate(cfg: RunConfig, sweep_path: str | None, out: str | None) -> None:
         print(f"ablate: {name} done (METEOR {scored.mean_meteor:.4f}, "
               f"BLEU {scored.corpus_bleu:.2f})")
 
-    keys = sorted(per_sample[baseline_index])
-    for i, (row, scores) in enumerate(zip(rows, per_sample)):
-        tt = None if i == baseline_index else paired_t_test(
-            [scores[k] for k in keys], [per_sample[baseline_index][k] for k in keys])
-        row["t"], row["p"] = (tt.t, tt.p) if tt else (None, None)
+    baseline = [e.meteor for e in runs[baseline_index].entries]
+    for i, (row, scored) in enumerate(zip(rows, runs)):
+        row.update(ttest_fields(None if i == baseline_index else paired_t_test(
+            [e.meteor for e in scored.entries], baseline)))
     data = {"baseline": rows[baseline_index]["name"], "rows": rows}
     _write_report(report_path, format_ablation(data), data)
 

@@ -1,4 +1,4 @@
-"""Corpus BLEU-4, exact-match METEOR, and the set analyses.
+"""Corpus BLEU-4, exact-match METEOR, and the comparison of two scored systems.
 
 All metrics canonicalize first: lowercase, whitespace tokenization. METEOR
 uses exact unigram matches only (no stemming or synonymy): the alignment
@@ -12,6 +12,10 @@ BLEU is corpus-level, unsmoothed: clipped modified n-gram precisions for
 n=1..4, uniform 1/4 weights in the geometric mean, brevity penalty
 exp(1 - r/c) when the corpus hypothesis length c is below the reference
 length r, scaled by 100, and 0 if any precision is 0.
+
+`score_corpus` computes each sample's METEOR once; `compare` builds the
+difference set, the improved sets and their paired t-tests from two scored
+corpora without scoring a sample again.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import exp, log
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AlignmentError, UsageError
-from .stats import TTestResult, paired_t_test
+from .stats import TTestResult, paired_t_test, ttest_fields
 
 # Exact chunk minimization is exponential in repeated tokens; beyond this
 # many reference tokens a deterministic in-order greedy alignment is used.
@@ -161,9 +165,6 @@ class ScoredCorpus:
     corpus_bleu: float
     mean_meteor: float
 
-    def meteor_by_id(self) -> dict[str, float]:
-        return {e.sample_id: e.meteor for e in self.entries}
-
 
 def score_corpus(records: Iterable[tuple[str, Sequence[str], Sequence[str]]]) -> ScoredCorpus:
     """Score aligned (sample_id, reference tokens, predicted tokens) records."""
@@ -190,68 +191,57 @@ def check_aligned(name_a: str, a: Mapping, name_b: str, b: Mapping) -> None:
         raise AlignmentError("sample ids are not aligned; " + "; ".join(parts))
 
 
-@dataclass
-class SetPartition:
-    """Difference/same split of a test corpus under two systems, with each
-    system's metrics per set."""
-
-    difference_ids: list[str]
-    same_ids: list[str]
-    difference_pct: float
-    scores: dict    # {"difference": {"a"|"b": {"bleu", "mean_meteor"} | None}, "same": ...}
-    ttest_difference: TTestResult | None
+def _mean_meteor(entries: list[ScoredSample]) -> float | None:
+    return sum(e.meteor for e in entries) / len(entries) if entries else None
 
 
-def _set_scores(ids, preds, refs):
-    if not ids:
+def _subset_scores(entries: list[ScoredSample]) -> dict | None:
+    """Corpus BLEU and mean METEOR over a subset of scored entries, None
+    for an empty subset."""
+    if not entries:
         return None
-    scored = score_corpus((sid, refs[sid], preds[sid]) for sid in ids)
-    return {"bleu": scored.corpus_bleu, "mean_meteor": scored.mean_meteor}
+    return {"bleu": bleu_corpus((e.reference, e.prediction) for e in entries),
+            "mean_meteor": _mean_meteor(entries)}
 
 
-def difference_set(preds_a: Mapping[str, Sequence[str]], preds_b: Mapping[str, Sequence[str]],
-                   refs: Mapping[str, Sequence[str]]) -> SetPartition:
-    """Partition samples by whether the two systems' canonicalized
-    predictions differ; report per-set BLEU and mean METEOR for both."""
-    check_aligned("system A", preds_a, "system B", preds_b)
-    check_aligned("predictions", preds_a, "references", refs)
-    difference = []
-    same = []
-    for sid in sorted(preds_a):
-        if canonicalize(preds_a[sid]) != canonicalize(preds_b[sid]):
-            difference.append(sid)
-        else:
-            same.append(sid)
-    total = len(difference) + len(same)
-    ttest = paired_t_test([meteor(preds_a[sid], refs[sid]) for sid in difference],
-                          [meteor(preds_b[sid], refs[sid]) for sid in difference])
-    scores = {
-        "difference": {"a": _set_scores(difference, preds_a, refs),
-                       "b": _set_scores(difference, preds_b, refs)},
-        "same": {"a": _set_scores(same, preds_a, refs),
-                 "b": _set_scores(same, preds_b, refs)},
+def _meteor_t_test(pairs) -> TTestResult | None:
+    """Paired t-test on the per-sample METEOR of (A entry, B entry) pairs."""
+    return paired_t_test([a.meteor for a, _ in pairs], [b.meteor for _, b in pairs])
+
+
+def compare(scored_a: ScoredCorpus, scored_b: ScoredCorpus) -> dict:
+    """The `overall`, `difference_set` and `improved_set_*` report sections
+    of two systems whose corpora hold the same sample ids in the same
+    order (`stmtmem analyze` scores both on the test split's sorted ids).
+
+    The difference set holds the samples whose canonical predictions
+    differ, with both systems' BLEU and mean METEOR on it and on the rest;
+    an improved set holds the samples where one system's METEOR strictly
+    exceeds the other's. Ids and subsets keep the corpora's order."""
+    pairs = list(zip(scored_a.entries, scored_b.entries))
+    differ = [(a, b) for a, b in pairs if a.prediction != b.prediction]
+    same = [(a, b) for a, b in pairs if a.prediction == b.prediction]
+    overall_t, differ_t = _meteor_t_test(pairs), _meteor_t_test(differ)
+    report = {
+        "overall": {
+            "a": {"meteor": scored_a.mean_meteor, "bleu": scored_a.corpus_bleu},
+            "b": {"meteor": scored_b.mean_meteor, "bleu": scored_b.corpus_bleu},
+            "ttest": {**ttest_fields(overall_t),
+                      "degenerate": None if overall_t is None else overall_t.degenerate},
+        },
+        "difference_set": {
+            "pct": 100.0 * len(differ) / len(pairs),
+            "ids": [a.sample_id for a, _ in differ],
+            "scores": {name: {"a": _subset_scores([a for a, _ in subset]),
+                              "b": _subset_scores([b for _, b in subset])}
+                       for name, subset in (("difference", differ), ("same", same))},
+            "ttest": None if differ_t is None else ttest_fields(differ_t),
+        },
     }
-    return SetPartition(difference, same, 100.0 * len(difference) / total, scores, ttest)
-
-
-@dataclass
-class ImprovedSet:
-    ids: list[str]
-    size_pct: float
-    mean_a: float | None
-    mean_b: float | None
-
-
-def improved_set(meteor_a: Mapping[str, float], meteor_b: Mapping[str, float]) -> ImprovedSet:
-    """Samples where system A's METEOR strictly exceeds system B's, with
-    both systems' mean METEOR over that subset."""
-    check_aligned("system A", meteor_a, "system B", meteor_b)
-    ids = sorted(sid for sid in meteor_a if meteor_a[sid] > meteor_b[sid])
-    if not meteor_a:
-        raise UsageError("improved_set: empty score lists")
-    if ids:
-        mean_a = sum(meteor_a[sid] for sid in ids) / len(ids)
-        mean_b = sum(meteor_b[sid] for sid in ids) / len(ids)
-    else:
-        mean_a = mean_b = None
-    return ImprovedSet(ids, 100.0 * len(ids) / len(meteor_a), mean_a, mean_b)
+    for key, first in (("improved_set_a_over_b", 0), ("improved_set_b_over_a", 1)):
+        wins = [(p[first], p[1 - first]) for p in pairs if p[first].meteor > p[1 - first].meteor]
+        report[key] = {"pct": 100.0 * len(wins) / len(pairs),
+                       "ids": [w.sample_id for w, _ in wins],
+                       "mean_a": _mean_meteor([w for w, _ in wins]),
+                       "mean_b": _mean_meteor([x for _, x in wins])}
+    return report

@@ -86,6 +86,15 @@ class TTestResult:
     degenerate: bool = False
 
 
+def ttest_fields(result: TTestResult | None) -> dict:
+    """The JSON fields of a t-test, both null without one. JSON has no
+    infinity, so a degenerate test's t is null beside its p of 0; the two
+    systems' means give its sign."""
+    if result is None:
+        return {"t": None, "p": None}
+    return {"t": None if math.isinf(result.t) else result.t, "p": result.p}
+
+
 def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTestResult | None:
     """Paired t-test on aligned score lists, None below two pairs: t =
     mean(d) / (sd(d)/sqrt(N)) with the sample standard deviation (N-1).

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stmtmem.metrics
 import stmtmem.model
 import stmtmem.training
 from stmtmem import cli
 from stmtmem import tensor as T
 from stmtmem.cli import RunConfig
-from stmtmem.corpus import read_dataset
+from stmtmem.corpus import read_dataset, write_dataset
 from stmtmem.decoding import read_predictions, write_predictions, PredictionRecord
 from stmtmem.errors import ConfigError
 from stmtmem.model import init_params
@@ -70,6 +71,16 @@ def keep_first_test_sample(root) -> None:
     test = root / "test.tsv"
     test.write_text(test.read_text(encoding="utf-8").splitlines(keepends=True)[0],
                     encoding="utf-8")
+
+
+def uniform_test_split(root, count: int = 5) -> list:
+    """Cut the prepared test split to its first `count` samples and give
+    each the same summary, so that cutting every summary to its first two
+    words lowers each sample's METEOR by the same amount."""
+    samples = [dataclasses.replace(s, summary_tokens="return the cached value".split())
+               for s in read_dataset(str(root / "test.tsv"))[:count]]
+    write_dataset(str(root / "test.tsv"), samples)
+    return samples
 
 
 def write_config(tmp_path, overrides=None, name="run.json") -> str:
@@ -376,6 +387,44 @@ class TestTrainPredictEvaluate:
                   if line.startswith("b.preds")]
         assert len(b_rows) == 2 and all(row.split()[-2:] == ["-", "-"] for row in b_rows)
 
+    def test_analyze_constant_difference_has_a_null_t(self, tmp_path):
+        # every sample differs by the same METEOR: t is infinite, which JSON cannot hold
+        path = write_config(tmp_path)
+        assert cli.main(["prepare", "--config", path]) == 0
+        samples = uniform_test_split(tmp_path)
+        a, b = str(tmp_path / "a.preds"), str(tmp_path / "b.preds")
+        write_predictions(a, [PredictionRecord(s.sample_id, s.summary_tokens) for s in samples])
+        write_predictions(b, [PredictionRecord(s.sample_id, s.summary_tokens[:2])
+                              for s in samples])
+        out = str(tmp_path / "cut.analysis")
+        assert cli.main(["analyze", "--config", path, a, b, "--out", out]) == 0
+        report = json.loads((tmp_path / "cut.analysis.json").read_text())
+        assert report["overall"]["ttest"] == {"t": None, "p": 0.0, "degenerate": True}
+        assert report["difference_set"]["ttest"] == {"t": None, "p": 0.0}
+        assert_renders(out, cli.format_analysis, len(samples))
+        b_rows = [line for line in (tmp_path / "cut.analysis").read_text().splitlines()
+                  if line.startswith("b.preds")]
+        assert len(b_rows) == 2 and all(row.split()[-2:] == ["-", "0.0000"] for row in b_rows)
+
+    def test_analyze_scores_each_sample_once_per_system(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path)
+        assert cli.main(["prepare", "--config", path]) == 0
+        refs = read_dataset(str(tmp_path / "test.tsv"))
+        a, b = str(tmp_path / "a.preds"), str(tmp_path / "b.preds")
+        write_predictions(a, [PredictionRecord(s.sample_id, s.summary_tokens) for s in refs])
+        write_predictions(b, [PredictionRecord(s.sample_id, s.summary_tokens[:2]) for s in refs])
+        calls = []
+        real_meteor = stmtmem.metrics.meteor
+
+        def counted(pred, ref):
+            calls.append(1)
+            return real_meteor(pred, ref)
+
+        monkeypatch.setattr(stmtmem.metrics, "meteor", counted)
+        assert cli.main(["analyze", "--config", path, a, b,
+                         "--out", str(tmp_path / "ab.analysis")]) == 0
+        assert len(calls) == 2 * len(refs)
+
     def test_analyze_missing_prediction_is_data_error(self, pipeline, capsys):
         root, path = pipeline
         preds = str(root / "model.preds")
@@ -457,6 +506,12 @@ CORRUPT_INPUTS = {
                                                duplicate_first_line(root / "model.preds"))),
     "test_split_empty": (2, "holds no samples", "evaluate", lambda root: (
         (root / "test.tsv").write_text(""), (root / "model.preds").write_text(""))),
+    "train_split_empty": (2, "train split", "train",
+                          lambda root: (root / "train.tsv").write_text("")),
+    "val_split_empty_at_ablate": (2, "val split", "ablate",
+                                  lambda root: (root / "val.tsv").write_text("")),
+    "train_split_empty_at_ablate": (2, "train split", "ablate",
+                                    lambda root: (root / "train.tsv").write_text("")),
     "dataset_path_nul": (1, "paths.dataset must not contain a NUL", "prepare",
                          lambda root: edit_config(root, lambda raw: raw["paths"].update(
                              dataset=f"{root}/a\u0000b.tsv"))),
@@ -862,6 +917,29 @@ class TestAblate:
             ("baseline", None, None), ("h1", None, None)]
         assert_renders(out, cli.format_ablation)
         assert (tmp_path / "ablation.txt").read_text().splitlines()[2].split()[-2:] == ["-", "-"]
+
+    def test_constant_difference_to_the_baseline_has_a_null_t(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, {"max_epochs": 1})
+        assert cli.main(["prepare", "--config", path]) == 0
+        uniform_test_split(tmp_path)
+
+        def fixed_predictions(models, samples, code_vocab, sum_vocab, out_path):
+            # the baseline (h=2) predicts each reference, h1 its first two words
+            keep = None if models[0].config.h == 2 else 2
+            write_predictions(out_path, [PredictionRecord(s.sample_id, s.summary_tokens[:keep])
+                                         for s in samples])
+
+        monkeypatch.setattr(cli, "predict_corpus", fixed_predictions)
+        sweep_path = str(tmp_path / "sweep.json")
+        with open(sweep_path, "w") as fh:
+            json.dump([{"name": "h1", "h": 1}], fh)
+        out = str(tmp_path / "ablation.txt")
+        assert cli.main(["ablate", "--config", path, "--sweep", sweep_path,
+                         "--out", out]) == 0
+        rows = json.loads((tmp_path / "ablation.txt.json").read_text())["rows"]
+        assert [(row["name"], row["t"], row["p"]) for row in rows] == [
+            ("baseline", None, None), ("h1", None, 0.0)]
+        assert_renders(out, cli.format_ablation)
 
     def test_sweep_entry_keeps_its_rng_seed(self, tmp_path):
         # the run's seed sets the baseline's rng_seed; a sweep entry may override it

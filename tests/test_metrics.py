@@ -1,4 +1,5 @@
-"""BLEU, METEOR (with a brute-force alignment oracle), and set analyses."""
+"""BLEU, METEOR (with a brute-force alignment oracle), and the comparison of two
+scored systems (against the earlier set analyses as a reference)."""
 
 import math
 
@@ -7,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stmtmem.errors import AlignmentError, UsageError
+from stmtmem.config import canonical_json
+from stmtmem.errors import UsageError
 from stmtmem.metrics import (
+    ScoredCorpus,
+    ScoredSample,
     bleu_corpus,
-    difference_set,
-    improved_set,
+    canonicalize,
+    check_aligned,
+    compare,
     meteor,
     score_corpus,
 )
+from stmtmem.stats import paired_t_test
 
 
 class TestBleu:
@@ -142,70 +148,177 @@ class TestScoreCorpus:
         assert 0.0 <= scored.corpus_bleu <= 100.0
 
 
+def scored(preds, refs):
+    """The scored corpus of prediction dict `preds`, in sorted id order as
+    `stmtmem analyze` scores it."""
+    return score_corpus((sid, refs[sid], preds[sid]) for sid in sorted(refs))
+
+
+def reference_compare(preds_a, preds_b, refs):
+    """The analysis `compare` replaced: an overall t-test over per-id METEOR
+    dicts, a difference set that re-checks the alignment and scores every
+    sample again, and improved sets from those dicts. Its one change is the
+    JSON rule for a degenerate test: an infinite t is null."""
+    def finite(t):
+        return None if math.isinf(t) else t
+
+    def set_scores(ids, preds):
+        if not ids:
+            return None
+        sub = score_corpus((sid, refs[sid], preds[sid]) for sid in ids)
+        return {"bleu": sub.corpus_bleu, "mean_meteor": sub.mean_meteor}
+
+    check_aligned("system A", preds_a, "system B", preds_b)
+    check_aligned("predictions", preds_a, "references", refs)
+    scored_a, scored_b = scored(preds_a, refs), scored(preds_b, refs)
+    met_a = {e.sample_id: e.meteor for e in scored_a.entries}
+    met_b = {e.sample_id: e.meteor for e in scored_b.entries}
+    ids = sorted(refs)
+    difference = [sid for sid in sorted(preds_a)
+                  if canonicalize(preds_a[sid]) != canonicalize(preds_b[sid])]
+    same = [sid for sid in sorted(preds_a) if sid not in difference]
+    overall_t = paired_t_test([met_a[sid] for sid in ids], [met_b[sid] for sid in ids])
+    diff_t = paired_t_test([meteor(preds_a[sid], refs[sid]) for sid in difference],
+                           [meteor(preds_b[sid], refs[sid]) for sid in difference])
+    report = {
+        "overall": {
+            "a": {"meteor": scored_a.mean_meteor, "bleu": scored_a.corpus_bleu},
+            "b": {"meteor": scored_b.mean_meteor, "bleu": scored_b.corpus_bleu},
+            "ttest": ({"t": finite(overall_t.t), "p": overall_t.p,
+                       "degenerate": overall_t.degenerate}
+                      if overall_t else {"t": None, "p": None, "degenerate": None}),
+        },
+        "difference_set": {
+            "pct": 100.0 * len(difference) / len(ids),
+            "ids": difference,
+            "scores": {"difference": {"a": set_scores(difference, preds_a),
+                                      "b": set_scores(difference, preds_b)},
+                       "same": {"a": set_scores(same, preds_a), "b": set_scores(same, preds_b)}},
+            "ttest": {"t": finite(diff_t.t), "p": diff_t.p} if diff_t else None,
+        },
+    }
+    for key, first, second in (("improved_set_a_over_b", met_a, met_b),
+                               ("improved_set_b_over_a", met_b, met_a)):
+        better = sorted(sid for sid in first if first[sid] > second[sid])
+        report[key] = {
+            "pct": 100.0 * len(better) / len(first), "ids": better,
+            "mean_a": sum(first[sid] for sid in better) / len(better) if better else None,
+            "mean_b": sum(second[sid] for sid in better) / len(better) if better else None,
+        }
+    return report
+
+
+WORDS = st.sampled_from(["a", "b", "c", "A", "B"])
+
+
+@st.composite
+def prediction_sets(draw):
+    """(refs, preds_a, preds_b) with B identical to A, A in another case,
+    empty, disjoint from A and the references, or free, per sample or for
+    the whole system."""
+    ids = [f"s{i}" for i in draw(st.permutations(range(draw(st.integers(1, 8)))))]
+    refs = {sid: draw(st.lists(WORDS, min_size=1, max_size=5)) for sid in ids}
+    preds_a = {sid: draw(st.lists(WORDS, max_size=5)) for sid in ids}
+    kinds = ["same", "case", "empty", "disjoint", "free"]
+    system = draw(st.sampled_from(kinds + ["mixed"]))
+    preds_b = {}
+    for sid in ids:
+        kind = draw(st.sampled_from(kinds)) if system == "mixed" else system
+        preds_b[sid] = {"same": list(preds_a[sid]),
+                        "case": [t.swapcase() for t in preds_a[sid]],
+                        "empty": [],
+                        "disjoint": draw(st.lists(st.sampled_from(["x", "y"]), min_size=1,
+                                                  max_size=5)),
+                        "free": draw(st.lists(WORDS, max_size=5))}[kind]
+    return refs, preds_a, preds_b
+
+
+class TestCompare:
+    @given(prediction_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_json_equal_to_the_reference(self, case):
+        refs, preds_a, preds_b = case
+        mine = compare(scored(preds_a, refs), scored(preds_b, refs))
+        assert canonical_json(mine) == canonical_json(reference_compare(preds_a, preds_b, refs))
+
+    def test_constant_difference_has_a_null_t_and_p_0(self):
+        refs = TestDifferenceSet.refs
+        report = compare(scored(refs, refs), scored({k: v[:1] for k, v in refs.items()}, refs))
+        assert report["overall"]["ttest"] == {"t": None, "p": 0.0, "degenerate": True}
+        assert report["difference_set"]["ttest"] == {"t": None, "p": 0.0}
+        canonical_json(report)
+
+
 class TestDifferenceSet:
     refs = {"s1": ["a", "b"], "s2": ["c", "d"], "s3": ["e", "f"]}
 
     def test_identical_systems_have_empty_difference(self):
         preds = {"s1": ["a", "b"], "s2": ["c"], "s3": ["x"]}
-        part = difference_set(preds, dict(preds), self.refs)
-        assert part.difference_ids == []
-        assert part.difference_pct == 0.0
-        assert len(part.same_ids) == 3
-        assert part.scores["difference"]["a"] is None
+        part = compare(scored(preds, self.refs), scored(dict(preds), self.refs))["difference_set"]
+        assert part["ids"] == []
+        assert part["pct"] == 0.0
+        assert part["scores"]["same"]["a"] == part["scores"]["same"]["b"] is not None
+        assert part["scores"]["difference"] == {"a": None, "b": None}
+        assert part["ttest"] is None
 
     def test_fully_disjoint_predictions(self):
         a = {k: ["one"] for k in self.refs}
         b = {k: ["two"] for k in self.refs}
-        part = difference_set(a, b, self.refs)
-        assert part.difference_pct == 100.0
+        part = compare(scored(a, self.refs), scored(b, self.refs))["difference_set"]
+        assert part["pct"] == 100.0
+        assert part["scores"]["same"] == {"a": None, "b": None}
 
     def test_two_of_three_differ(self):
         a = {"s1": ["a", "b"], "s2": ["c"], "s3": ["x"]}
         b = {"s1": ["a", "b"], "s2": ["d"], "s3": ["y"]}
-        part = difference_set(a, b, self.refs)
-        assert part.difference_pct == pytest.approx(200 / 3)
-        assert part.same_ids == ["s1"]
+        part = compare(scored(a, self.refs), scored(b, self.refs))["difference_set"]
+        assert part["pct"] == pytest.approx(200 / 3)
+        assert part["ids"] == ["s2", "s3"]
 
     def test_partition_swap_symmetry(self):
         a = {"s1": ["a", "b"], "s2": ["c"], "s3": ["x"]}
         b = {"s1": ["a", "b"], "s2": ["d"], "s3": ["e", "f"]}
-        ab = difference_set(a, b, self.refs)
-        ba = difference_set(b, a, self.refs)
-        assert ab.difference_ids == ba.difference_ids
-        assert ab.same_ids == ba.same_ids
-        assert ab.scores["difference"]["a"] == ba.scores["difference"]["b"]
+        ab = compare(scored(a, self.refs), scored(b, self.refs))
+        ba = compare(scored(b, self.refs), scored(a, self.refs))
+        assert ab["difference_set"]["ids"] == ba["difference_set"]["ids"]
+        assert (ab["difference_set"]["scores"]["difference"]["a"]
+                == ba["difference_set"]["scores"]["difference"]["b"])
+        assert ab["improved_set_a_over_b"] == ba["improved_set_b_over_a"]
 
     def test_canonicalization_applies(self):
         a = {"s1": ["A", "B"], "s2": ["c"], "s3": ["x"]}
         b = {"s1": ["a", "b"], "s2": ["c"], "s3": ["x"]}
-        part = difference_set(a, b, self.refs)
-        assert part.difference_ids == []
+        part = compare(scored(a, self.refs), scored(b, self.refs))["difference_set"]
+        assert part["ids"] == []
 
-    def test_misaligned_ids_reported(self):
-        a = {"s1": ["a"], "s2": ["b"]}
-        b = {"s1": ["a"], "s9": ["b"]}
-        with pytest.raises(AlignmentError, match="s9"):
-            difference_set(a, b, {"s1": ["a"], "s2": ["b"]})
+
+def scored_meteors(meteors):
+    """A scored corpus whose entries carry the given per-id METEOR values."""
+    entries = [ScoredSample(sid, ["r"], ["p"], m) for sid, m in sorted(meteors.items())]
+    return ScoredCorpus(entries, 0.0, sum(meteors.values()) / len(meteors))
 
 
 class TestImprovedSet:
+    def improved(self, a, b):
+        return compare(scored_meteors(a), scored_meteors(b))["improved_set_a_over_b"]
+
     def test_no_strict_improvement(self):
         scores = {"s1": 0.5, "s2": 0.7}
-        out = improved_set(scores, dict(scores))
-        assert out.ids == [] and out.size_pct == 0.0
-        assert out.mean_a is None and out.mean_b is None
+        out = self.improved(scores, dict(scores))
+        assert out["ids"] == [] and out["pct"] == 0.0
+        assert out["mean_a"] is None and out["mean_b"] is None
 
     def test_uniform_improvement(self):
         a = {"s1": 0.6, "s2": 0.8}
         b = {"s1": 0.5, "s2": 0.7}
-        out = improved_set(a, b)
-        assert out.size_pct == 100.0
-        assert out.mean_a - out.mean_b == pytest.approx(0.1)
+        out = self.improved(a, b)
+        assert out["pct"] == 100.0
+        assert out["mean_a"] - out["mean_b"] == pytest.approx(0.1)
 
     def test_subset_mean_dominance(self):
         rng = np.random.default_rng(3)
         a = {f"s{i}": float(v) for i, v in enumerate(rng.uniform(0, 1, 30))}
         b = {f"s{i}": float(v) for i, v in enumerate(rng.uniform(0, 1, 30))}
-        out = improved_set(a, b)
-        if out.ids:
-            assert out.mean_a > out.mean_b
+        out = self.improved(a, b)
+        if out["ids"]:
+            assert out["mean_a"] > out["mean_b"]
